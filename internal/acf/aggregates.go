@@ -30,6 +30,8 @@ type Aggregates struct {
 	sxx  []float64 // sum of x_t * x_{t+l}
 	sx2  []float64 // sum of head x_t^2
 	sx2l []float64 // sum of tail x_{t+l}^2
+
+	pairs []float64 // n - lag per position: the number of lag pairs
 }
 
 // Positions returns the number of maintained lag positions P (L for dense
@@ -52,16 +54,21 @@ func newAggregatesShell(n, L int, lags []int32) *Aggregates {
 			L = int(lags[p-1])
 		}
 	}
-	return &Aggregates{
-		N:    n,
-		L:    L,
-		lags: lags,
-		sx:   make([]float64, p),
-		sxl:  make([]float64, p),
-		sxx:  make([]float64, p),
-		sx2:  make([]float64, p),
-		sx2l: make([]float64, p),
+	a := &Aggregates{
+		N:     n,
+		L:     L,
+		lags:  lags,
+		sx:    make([]float64, p),
+		sxl:   make([]float64, p),
+		sxx:   make([]float64, p),
+		sx2:   make([]float64, p),
+		sx2l:  make([]float64, p),
+		pairs: make([]float64, p),
 	}
+	for i := range a.pairs {
+		a.pairs[i] = float64(n - a.lagAt(i))
+	}
+	return a
 }
 
 // toLags32 validates and converts a sorted lag subset.
@@ -160,15 +167,7 @@ func (a *Aggregates) ACF() []float64 {
 
 // ACFInto evaluates the ACF into dst, which must have length Positions().
 func (a *Aggregates) ACFInto(dst []float64) {
-	if a.lags == nil {
-		for i := range a.sx {
-			m := float64(a.N - (i + 1))
-			dst[i] = corrFromAggregates(m, a.sx[i], a.sxl[i], a.sxx[i], a.sx2[i], a.sx2l[i])
-		}
-		return
-	}
-	for i, l := range a.lags {
-		m := float64(a.N - int(l))
+	for i, m := range a.pairs {
 		dst[i] = corrFromAggregates(m, a.sx[i], a.sxl[i], a.sxx[i], a.sx2[i], a.sx2l[i])
 	}
 }
@@ -346,309 +345,84 @@ func (a *Aggregates) Apply(cur []float64, start int, deltas []float64) {
 // per worker.
 type Scratch struct {
 	acf     []float64
+	dsxx    []float64 // cross-term row of the uncached path (HypotheticalACF)
 	base    []float64 // MAE reference vector (zeros unless SetBase is called)
-	dev     float64   // sum |acf_i - base_i| of the last HypotheticalACF
+	dev     float64   // sum |acf_i - base_i| of the last evaluation
 	wdeltas []float64 // window-delta buffer (WindowTracker only)
 }
 
 // NewScratch allocates scratch buffers for a tracker with p lag positions.
 func NewScratch(p int) *Scratch {
-	return &Scratch{acf: make([]float64, p), base: make([]float64, p)}
+	return &Scratch{acf: make([]float64, p), dsxx: make([]float64, p), base: make([]float64, p)}
 }
 
 // SetBase installs the reference vector the kernel accumulates the MAE
-// deviation against: after every HypotheticalACF call, DevSum reports
+// deviation against: after every hypothetical evaluation, DevSum reports
 // sum_i |acf_i - base_i| with the exact summation order of stats.MAE. The
 // engine's impact evaluation reads it instead of re-scanning the ACF, which
 // keeps the default MAE measure to a single pass. base must have length
 // Positions() and is retained by reference.
 func (sc *Scratch) SetBase(base []float64) { sc.base = base }
 
-// DevSum returns sum_i |acf_i - base_i| of the last HypotheticalACF call.
+// DevSum returns sum_i |acf_i - base_i| of the last hypothetical evaluation.
 func (sc *Scratch) DevSum() float64 { return sc.dev }
+
+// lagAt returns the lag maintained at position i.
+func (a *Aggregates) lagAt(i int) int {
+	if a.lags == nil {
+		return i + 1
+	}
+	return int(a.lags[i])
+}
+
+// Interior reports whether a change of m values starting at start lies at
+// least the largest maintained lag away from both series ends. Every delta
+// is then both a head and a tail member at every lag, which is the case
+// CrossTerms/HypotheticalFromTerms cover.
+func (a *Aggregates) Interior(start, m int) bool {
+	return start >= a.L && a.N-start-m >= a.L
+}
 
 // HypotheticalACF evaluates the ACF the series would have after applying the
 // given contiguous change, without mutating the aggregates. The returned
 // slice aliases sc.acf and is valid until the next call with the same sc.
 // Unlike the textbook formulation, no aggregate state is copied anywhere:
-// each lag's delta accumulators are computed in registers and evaluated
-// directly against the live aggregates, which is bit-identical to
-// copy-then-update (both reduce to the same single addition per aggregate).
+// each lag's delta accumulators are evaluated directly against the live
+// aggregates, which is bit-identical to copy-then-update (both reduce to the
+// same single addition per aggregate).
+//
+// Lags no larger than the change's distance to either series end (all of
+// them, in the steady state) run in two stages — the change's own terms
+// (crossTerms), then one correlation per lag against the live aggregates
+// (evalTerms) — the same two stages a caller that keeps the terms runs
+// separately through CrossTerms and HypotheticalFromTerms. The remaining
+// lags take the boundary-aware lagDeltas.
 func (a *Aggregates) HypotheticalACF(cur []float64, start int, deltas []float64, sc *Scratch) []float64 {
 	n := a.N
-	m := len(deltas)
-	// Lags up to lFast take the fused interior path below; keep it in sync
-	// with lagDeltas's interior condition (l <= start && l <= n-start-m).
-	lFast := min(start, n-start-m)
-	// On the interior path every delta is both a head and a tail member, so
-	// the dsx/dsxl and dsx2/dsx2l accumulators receive the same addend
-	// sequence for EVERY lag — sum them once here instead of per lag. Only
-	// the cross products remain lag-dependent.
-	var ds, dsq2 float64
-	if lFast >= 1 {
-		for j := 0; j < m; j++ {
-			d := deltas[j]
-			x := cur[start+j]
-			ds += d
-			dsq2 += d * (2*x + d) // (x+d)^2 - x^2
+	// Keep in sync with lagDeltas's interior condition
+	// (l <= start && l <= n-start-m).
+	lFast := min(start, n-start-len(deltas))
+	nFast := len(a.sx) // positions whose lag is <= lFast
+	if lFast < a.L {
+		nFast = max(lFast, 0)
+		if a.lags != nil {
+			for nFast = 0; int(a.lags[nFast]) <= lFast; nFast++ {
+			}
 		}
 	}
-	if a.lags == nil {
-		// Interior lags run pairwise, fused and fully inlined: per lag only
-		// the cross products dsxx are computed — a serial float-add chain,
-		// so pairing lags runs two independent chains through the shared
-		// j-loop (each lag's addend sequence is untouched, results stay
-		// bit-identical) — and the Eq. 2 correlation (the body of
-		// corrFromAggregates, replicated because a call per lag per
-		// candidate would dominate) is evaluated directly against the live
-		// aggregates, with the MAE deviation against sc.base accumulated in
-		// the same pass. Keep the arithmetic in sync with acf.go.
-		nFast := min(max(lFast, 0), len(a.sx))
-		acfv := sc.acf[:nFast]
-		sxv := a.sx[:nFast]
-		sxlv := a.sxl[:nFast]
-		sxxv := a.sxx[:nFast]
-		sx2v := a.sx2[:nFast]
-		sx2lv := a.sx2l[:nFast]
-		bv := sc.base[:nFast]
-		var dev float64
-		nf := float64(n)
-		if m == 1 && nFast > 0 {
-			// Single-point gap (a third of steady-state evaluations): the
-			// cross products collapse to two loads walking outward from the
-			// changed point; pairing still overlaps the sqrt/div units.
-			d := deltas[0]
-			i := 0
-			for ; i+1 < nFast; i += 2 {
-				la := i + 1
-				lb := i + 2
-				dsxxA := d*cur[start-la] + d*cur[start+la]
-				dsxxB := d*cur[start-lb] + d*cur[start+lb]
-				mfA := nf - float64(i+1)
-				sxA := sxv[i] + ds
-				sxlA := sxlv[i] + ds
-				sxxA := sxxv[i] + dsxxA
-				sx2A := sx2v[i] + dsq2
-				sx2lA := sx2lv[i] + dsq2
-				numA := mfA*sxxA - sxA*sxlA
-				paA := mfA * sx2A
-				qaA := sxA * sxA
-				vaA := paA - qaA
-				pbA := mfA * sx2lA
-				qbA := sxlA * sxlA
-				vbA := pbA - qbA
-				var rA float64
-				if vaA <= tiny+1e-10*(paA+qaA) || vbA <= tiny+1e-10*(pbA+qbA) {
-					rA = 0
-				} else {
-					rA = numA / math.Sqrt(vaA*vbA)
-					if rA > 1 {
-						rA = 1
-					} else if rA < -1 {
-						rA = -1
-					}
-				}
-				dev += math.Abs(rA - bv[i])
-				acfv[i] = rA
-
-				mfB := nf - float64(i+1+1)
-				sxB := sxv[i+1] + ds
-				sxlB := sxlv[i+1] + ds
-				sxxB := sxxv[i+1] + dsxxB
-				sx2B := sx2v[i+1] + dsq2
-				sx2lB := sx2lv[i+1] + dsq2
-				numB := mfB*sxxB - sxB*sxlB
-				paB := mfB * sx2B
-				qaB := sxB * sxB
-				vaB := paB - qaB
-				pbB := mfB * sx2lB
-				qbB := sxlB * sxlB
-				vbB := pbB - qbB
-				var rB float64
-				if vaB <= tiny+1e-10*(paB+qaB) || vbB <= tiny+1e-10*(pbB+qbB) {
-					rB = 0
-				} else {
-					rB = numB / math.Sqrt(vaB*vbB)
-					if rB > 1 {
-						rB = 1
-					} else if rB < -1 {
-						rB = -1
-					}
-				}
-				dev += math.Abs(rB - bv[i+1])
-				acfv[i+1] = rB
-
-			}
-			for ; i < nFast; i++ {
-				l := i + 1
-				dsxx := d*cur[start-l] + d*cur[start+l]
-				r := a.corrDelta(i, n-(i+1), ds, dsq2, dsxx)
-				dev += math.Abs(r - bv[i])
-				acfv[i] = r
-
-			}
-		} else {
-			i := 0
-			for ; i+1 < nFast; i += 2 {
-				la := i + 1
-				lb := i + 2
-				var dsxxA, dsxxB float64
-				p1a := max(m-la, 0)
-				p1b := max(m-lb, 0) // p1b <= p1a
-				// Shifted views: cmX[j] = cur[start+j-lX], cpX[j] =
-				// cur[start+j+lX], dpX[j] = deltas[j+lX]; in-range by the
-				// interior condition.
-				cmA := cur[start-la : start-la+m]
-				cpA := cur[start+la : start+la+m]
-				cmB := cur[start-lb : start-lb+m]
-				cpB := cur[start+lb : start+lb+m]
-				for j := 0; j < p1b; j++ {
-					d := deltas[j]
-					dsxxA += d * cmA[j]
-					dsxxA += d * cpA[j]
-					dsxxA += d * deltas[j+la]
-					dsxxB += d * cmB[j]
-					dsxxB += d * cpB[j]
-					dsxxB += d * deltas[j+lb]
-				}
-				for j := p1b; j < p1a; j++ { // at most one iteration
-					d := deltas[j]
-					dsxxA += d * cmA[j]
-					dsxxA += d * cpA[j]
-					dsxxA += d * deltas[j+la]
-					dsxxB += d * cmB[j]
-					dsxxB += d * cpB[j]
-				}
-				for j := p1a; j < m; j++ {
-					d := deltas[j]
-					dsxxA += d * cmA[j]
-					dsxxA += d * cpA[j]
-					dsxxB += d * cmB[j]
-					dsxxB += d * cpB[j]
-				}
-				mfA := nf - float64(i+1)
-				sxA := sxv[i] + ds
-				sxlA := sxlv[i] + ds
-				sxxA := sxxv[i] + dsxxA
-				sx2A := sx2v[i] + dsq2
-				sx2lA := sx2lv[i] + dsq2
-				numA := mfA*sxxA - sxA*sxlA
-				paA := mfA * sx2A
-				qaA := sxA * sxA
-				vaA := paA - qaA
-				pbA := mfA * sx2lA
-				qbA := sxlA * sxlA
-				vbA := pbA - qbA
-				var rA float64
-				if vaA <= tiny+1e-10*(paA+qaA) || vbA <= tiny+1e-10*(pbA+qbA) {
-					rA = 0
-				} else {
-					rA = numA / math.Sqrt(vaA*vbA)
-					if rA > 1 {
-						rA = 1
-					} else if rA < -1 {
-						rA = -1
-					}
-				}
-				dev += math.Abs(rA - bv[i])
-				acfv[i] = rA
-
-				mfB := nf - float64(i+1+1)
-				sxB := sxv[i+1] + ds
-				sxlB := sxlv[i+1] + ds
-				sxxB := sxxv[i+1] + dsxxB
-				sx2B := sx2v[i+1] + dsq2
-				sx2lB := sx2lv[i+1] + dsq2
-				numB := mfB*sxxB - sxB*sxlB
-				paB := mfB * sx2B
-				qaB := sxB * sxB
-				vaB := paB - qaB
-				pbB := mfB * sx2lB
-				qbB := sxlB * sxlB
-				vbB := pbB - qbB
-				var rB float64
-				if vaB <= tiny+1e-10*(paB+qaB) || vbB <= tiny+1e-10*(pbB+qbB) {
-					rB = 0
-				} else {
-					rB = numB / math.Sqrt(vaB*vbB)
-					if rB > 1 {
-						rB = 1
-					} else if rB < -1 {
-						rB = -1
-					}
-				}
-				dev += math.Abs(rB - bv[i+1])
-				acfv[i+1] = rB
-
-			}
-			for ; i < nFast; i++ {
-				l := i + 1
-				var dsxx float64
-				p1 := max(m-l, 0)
-				for j := 0; j < p1; j++ {
-					d := deltas[j]
-					k := start + j
-					dsxx += d * cur[k-l]
-					dsxx += d * cur[k+l]
-					dsxx += d * deltas[j+l]
-				}
-				for j := p1; j < m; j++ {
-					d := deltas[j]
-					k := start + j
-					dsxx += d * cur[k-l]
-					dsxx += d * cur[k+l]
-				}
-				r := a.corrDelta(i, n-(i+1), ds, dsq2, dsxx)
-				dev += math.Abs(r - bv[i])
-				acfv[i] = r
-
-			}
-		}
-		for i := nFast; i < len(a.sx); i++ {
-			l := i + 1
-			var r float64
-			if l >= n {
-				// No pairs at this lag: the deltas cannot change it.
-				mf := float64(n - l)
-				r = corrFromAggregates(mf, a.sx[i], a.sxl[i], a.sxx[i], a.sx2[i], a.sx2l[i])
-			} else {
-				dsx, dsxl, dsxx, dsx2, dsx2l := lagDeltas(cur, n, start, deltas, l)
-				mf := float64(n - l)
-				r = corrFromAggregates(mf, a.sx[i]+dsx, a.sxl[i]+dsxl, a.sxx[i]+dsxx, a.sx2[i]+dsx2, a.sx2l[i]+dsx2l)
-			}
-			dev += math.Abs(r - sc.base[i])
-			sc.acf[i] = r
-		}
-		sc.dev = dev
-		return sc.acf
-	}
-	var dev float64
-	for i, l32 := range a.lags {
-		l := int(l32)
+	row := sc.dsxx[:nFast]
+	ds, dsq2 := a.crossTerms(cur, start, deltas, row)
+	dev := a.evalTerms(ds, dsq2, row, sc)
+	for i := nFast; i < len(a.sx); i++ {
+		l := a.lagAt(i)
+		mf := a.pairs[i]
 		var r float64
-		switch {
-		case l <= lFast:
-			var dsxx float64
-			p1 := max(m-l, 0)
-			for j := 0; j < p1; j++ {
-				d := deltas[j]
-				k := start + j
-				dsxx += d * cur[k-l]
-				dsxx += d * cur[k+l]
-				dsxx += d * deltas[j+l]
-			}
-			for j := p1; j < m; j++ {
-				d := deltas[j]
-				k := start + j
-				dsxx += d * cur[k-l]
-				dsxx += d * cur[k+l]
-			}
-			r = a.corrDelta(i, n-l, ds, dsq2, dsxx)
-		case l >= n:
-			r = corrFromAggregates(float64(n-l), a.sx[i], a.sxl[i], a.sxx[i], a.sx2[i], a.sx2l[i])
-		default:
+		if l >= n {
+			// No pairs at this lag: the deltas cannot change it.
+			r = corrFromAggregates(mf, a.sx[i], a.sxl[i], a.sxx[i], a.sx2[i], a.sx2l[i])
+		} else {
 			dsx, dsxl, dsxx, dsx2, dsx2l := lagDeltas(cur, n, start, deltas, l)
-			r = corrFromAggregates(float64(n-l), a.sx[i]+dsx, a.sxl[i]+dsxl, a.sxx[i]+dsxx, a.sx2[i]+dsx2, a.sx2l[i]+dsx2l)
+			r = corrFromAggregates(mf, a.sx[i]+dsx, a.sxl[i]+dsxl, a.sxx[i]+dsxx, a.sx2[i]+dsx2, a.sx2l[i]+dsx2l)
 		}
 		dev += math.Abs(r - sc.base[i])
 		sc.acf[i] = r
@@ -657,48 +431,177 @@ func (a *Aggregates) HypotheticalACF(cur []float64, start int, deltas []float64,
 	return sc.acf
 }
 
-// corrDelta evaluates the Eq. 2 correlation for position i after adding the
-// interior-path delta accumulators to the live aggregates (dsx == dsxl == ds
-// and dsx2 == dsx2l == dsq2 there, since head and tail membership coincide).
-// This is corrFromAggregates(float64(mi), sx+ds, sxl+ds, sxx+dsxx, sx2+dsq2,
-// sx2l+dsq2) with the variance products reused by the zero-variance guard —
-// keep the arithmetic in sync with acf.go.
-func (a *Aggregates) corrDelta(i, mi int, ds, dsq2, dsxx float64) float64 {
-	mf := float64(mi)
-	sx := a.sx[i] + ds
-	sxl := a.sxl[i] + ds
-	sxx := a.sxx[i] + dsxx
-	sx2 := a.sx2[i] + dsq2
-	sx2l := a.sx2l[i] + dsq2
-	num := mf*sxx - sx*sxl
-	pa := mf * sx2
-	qa := sx * sx
-	va := pa - qa
-	pb := mf * sx2l
-	qb := sxl * sxl
-	vb := pb - qb
-	if va <= tiny+1e-10*(pa+qa) || vb <= tiny+1e-10*(pb+qb) {
-		return 0
+// CrossTerms computes the terms of an Interior change that depend only on
+// the change itself and on cur within the largest lag of it: the head/tail
+// sum delta ds, the squared-sum delta dsq2, and the per-position cross
+// products written to dsxx (length Positions()). They stay valid for as long
+// as deltas and that stretch of cur do, whatever happens to the aggregates;
+// HypotheticalFromTerms evaluates them against the live aggregates in
+// O(Positions()) instead of O(Positions()*len(deltas)).
+func (a *Aggregates) CrossTerms(cur []float64, start int, deltas, dsxx []float64) (ds, dsq2 float64) {
+	return a.crossTerms(cur, start, deltas, dsxx[:len(a.sx)])
+}
+
+// HypotheticalFromTerms is HypotheticalACF for an Interior change whose
+// CrossTerms the caller kept: same result bit for bit, same aliasing of sc.
+func (a *Aggregates) HypotheticalFromTerms(ds, dsq2 float64, dsxx []float64, sc *Scratch) []float64 {
+	sc.dev = a.evalTerms(ds, dsq2, dsxx[:len(a.sx)], sc)
+	return sc.acf
+}
+
+// crossTerms fills dsxx for positions [0, len(dsxx)), whose lags must all
+// satisfy lagDeltas's interior condition. There every delta is both a head
+// and a tail member, so the dsx/dsxl and dsx2/dsx2l accumulators receive the
+// same addend sequence for EVERY lag — summed once as ds and dsq2; only the
+// cross products remain lag-dependent.
+func (a *Aggregates) crossTerms(cur []float64, start int, deltas, dsxx []float64) (ds, dsq2 float64) {
+	if len(dsxx) == 0 {
+		return 0, 0
 	}
-	r := num / math.Sqrt(va*vb)
-	if r > 1 {
-		r = 1
-	} else if r < -1 {
-		r = -1
+	m := len(deltas)
+	for j, d := range deltas {
+		x := cur[start+j]
+		ds += d
+		dsq2 += d * (2*x + d) // (x+d)^2 - x^2
 	}
-	return r
+	if m == 1 && a.lags == nil {
+		// Single-point gap: the cross products collapse to two loads walking
+		// outward from the changed point. (Dense only: the compact shape has
+		// always summed 0 + a + b here, which differs from a + b in the sign
+		// of an all-zero sum.)
+		d := deltas[0]
+		k := len(dsxx)
+		below := cur[start-k : start] // below[k-1-i] = cur[start-(i+1)]
+		above := cur[start+1 : start+1+k]
+		for i := range dsxx {
+			dsxx[i] = d*below[k-1-i] + d*above[i]
+		}
+		return ds, dsq2
+	}
+	// A lag's cross products are a serial float-add chain, so lags run
+	// pairwise: two independent chains through the shared j-loop. Each lag's
+	// addend sequence (ascending j; tail, head, pair) is that of lagDeltas.
+	i := 0
+	for ; i+1 < len(dsxx); i += 2 {
+		la := a.lagAt(i)
+		lb := a.lagAt(i + 1) // lb > la
+		var dsxxA, dsxxB float64
+		p1a := max(m-la, 0)
+		p1b := max(m-lb, 0) // p1b <= p1a
+		// Shifted views: cmX[j] = cur[start+j-lX], cpX[j] = cur[start+j+lX];
+		// in range by the interior condition.
+		cmA := cur[start-la : start-la+m]
+		cpA := cur[start+la : start+la+m]
+		cmB := cur[start-lb : start-lb+m]
+		cpB := cur[start+lb : start+lb+m]
+		for j := 0; j < p1b; j++ {
+			d := deltas[j]
+			dsxxA += d * cmA[j]
+			dsxxA += d * cpA[j]
+			dsxxA += d * deltas[j+la]
+			dsxxB += d * cmB[j]
+			dsxxB += d * cpB[j]
+			dsxxB += d * deltas[j+lb]
+		}
+		for j := p1b; j < p1a; j++ {
+			d := deltas[j]
+			dsxxA += d * cmA[j]
+			dsxxA += d * cpA[j]
+			dsxxA += d * deltas[j+la]
+			dsxxB += d * cmB[j]
+			dsxxB += d * cpB[j]
+		}
+		for j := p1a; j < m; j++ {
+			d := deltas[j]
+			dsxxA += d * cmA[j]
+			dsxxA += d * cpA[j]
+			dsxxB += d * cmB[j]
+			dsxxB += d * cpB[j]
+		}
+		dsxx[i], dsxx[i+1] = dsxxA, dsxxB
+	}
+	if i < len(dsxx) {
+		l := a.lagAt(i)
+		var s float64
+		p1 := max(m-l, 0)
+		for j := 0; j < p1; j++ {
+			d := deltas[j]
+			k := start + j
+			s += d * cur[k-l]
+			s += d * cur[k+l]
+			s += d * deltas[j+l]
+		}
+		for j := p1; j < m; j++ {
+			d := deltas[j]
+			k := start + j
+			s += d * cur[k-l]
+			s += d * cur[k+l]
+		}
+		dsxx[i] = s
+	}
+	return ds, dsq2
+}
+
+// evalTerms evaluates the Eq. 2 correlation of positions [0, len(dsxx)) after
+// adding an interior change's terms to the live aggregates (dsx == dsxl == ds
+// and dsx2 == dsx2l == dsq2 there), writes them to sc.acf and returns their
+// share of the MAE sum against sc.base. The loop body is corrFromAggregates
+// with the variance products reused by the zero-variance guard, written out
+// because a call per lag per candidate would dominate; it is the only copy —
+// keep the arithmetic in sync with acf.go. (The interior condition implies
+// at least two pairs at every lag, so the m <= 1 guard is moot.)
+func (a *Aggregates) evalTerms(ds, dsq2 float64, dsxx []float64, sc *Scratch) (dev float64) {
+	k := len(dsxx)
+	acfv := sc.acf[:k]
+	bv := sc.base[:k]
+	sxv := a.sx[:k]
+	sxlv := a.sxl[:k]
+	sxxv := a.sxx[:k]
+	sx2v := a.sx2[:k]
+	sx2lv := a.sx2l[:k]
+	mfv := a.pairs[:k]
+	for i, dx := range dsxx {
+		mf := mfv[i]
+		sx := sxv[i] + ds
+		sxl := sxlv[i] + ds
+		sxx := sxxv[i] + dx
+		sx2 := sx2v[i] + dsq2
+		sx2l := sx2lv[i] + dsq2
+		num := mf*sxx - sx*sxl
+		pa := mf * sx2
+		qa := sx * sx
+		va := pa - qa
+		pb := mf * sx2l
+		qb := sxl * sxl
+		vb := pb - qb
+		var r float64
+		if va <= tiny+1e-10*(pa+qa) || vb <= tiny+1e-10*(pb+qb) {
+			r = 0
+		} else {
+			r = num / math.Sqrt(va*vb)
+			if r > 1 {
+				r = 1
+			} else if r < -1 {
+				r = -1
+			}
+		}
+		dev += math.Abs(r - bv[i])
+		acfv[i] = r
+	}
+	return dev
 }
 
 // Clone returns an independent deep copy of the aggregates.
 func (a *Aggregates) Clone() *Aggregates {
 	return &Aggregates{
-		N:    a.N,
-		L:    a.L,
-		lags: a.lags, // immutable once built
-		sx:   append([]float64(nil), a.sx...),
-		sxl:  append([]float64(nil), a.sxl...),
-		sxx:  append([]float64(nil), a.sxx...),
-		sx2:  append([]float64(nil), a.sx2...),
-		sx2l: append([]float64(nil), a.sx2l...),
+		N:     a.N,
+		L:     a.L,
+		lags:  a.lags, // immutable once built
+		pairs: a.pairs,
+		sx:    append([]float64(nil), a.sx...),
+		sxl:   append([]float64(nil), a.sxl...),
+		sxx:   append([]float64(nil), a.sxx...),
+		sx2:   append([]float64(nil), a.sx2...),
+		sx2l:  append([]float64(nil), a.sx2l...),
 	}
 }

@@ -239,3 +239,72 @@ func TestZeroAllocHypothetical(t *testing.T) {
 		t.Fatalf("boundary HypotheticalACF allocates %v per run, want 0", n)
 	}
 }
+
+// TestTermsBitIdenticalToReference pins the two-stage form a caller that
+// keeps the terms runs — CrossTerms once, HypotheticalFromTerms against
+// whatever the aggregates have become since — to the reference copy-then-
+// update evaluation, for gap widths on both sides of every pair cut
+// (m-l <= 0 and > 0), dense and compact. The aggregates are moved between
+// the two stages by a commit further than L from the gap, which is exactly
+// the situation a kept row is reused in; the fused MAE sum must match too.
+func TestTermsBitIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const L = 12
+	for _, lags := range [][]int{nil, {1, 5, 12}, {2, 3, 4, 11}} {
+		for _, m := range []int{1, 2, L - 1, L, L + 1, 3 * L} {
+			n := 20*L + m
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 5 + 3*math.Sin(2*math.Pi*float64(i)/24) + 0.3*rng.NormFloat64()
+			}
+			agg := NewAggregates(xs, L)
+			if lags != nil {
+				agg = NewAggregatesLags(xs, lags)
+			}
+			ref := refFromAggregates(agg)
+			sc := NewScratch(agg.Positions())
+			base := agg.ACF()
+			sc.SetBase(base)
+			deltas := make([]float64, m)
+			for i := range deltas {
+				deltas[i] = rng.NormFloat64() * 4
+			}
+			deltas[m/2] = 0
+			for _, start := range []int{L, 7 * L, n - m - L} {
+				if !agg.Interior(start, m) {
+					t.Fatalf("m=%d start=%d: expected an interior change", m, start)
+				}
+				row := make([]float64, agg.Positions())
+				ds, dsq2 := agg.CrossTerms(xs, start, deltas, row)
+
+				// Move the aggregates, leaving xs within L of the gap alone.
+				far := []float64{rng.NormFloat64(), rng.NormFloat64()}
+				at := start + m + L
+				if at+len(far) > n {
+					at = start - L - len(far)
+				}
+				agg.Apply(xs, at, far)
+				ref.apply(xs, at, far)
+				for i, d := range far {
+					xs[at+i] += d
+				}
+
+				got := agg.HypotheticalFromTerms(ds, dsq2, row, sc)
+				want := ref.hypothetical(xs, start, deltas)
+				if !bitsEqual(got, want) {
+					t.Fatalf("lags=%v m=%d start=%d: kept terms diverge from reference\n got %v\nwant %v", lags, m, start, got, want)
+				}
+				var dev float64
+				for i := range want {
+					dev += math.Abs(want[i] - base[i])
+				}
+				if math.Float64bits(sc.DevSum()) != math.Float64bits(dev) {
+					t.Fatalf("lags=%v m=%d start=%d: fused MAE sum %v != %v", lags, m, start, sc.DevSum(), dev)
+				}
+				if !bitsEqual(agg.HypotheticalACF(xs, start, deltas, sc), want) {
+					t.Fatalf("lags=%v m=%d start=%d: HypotheticalACF diverges from reference", lags, m, start)
+				}
+			}
+		}
+	}
+}

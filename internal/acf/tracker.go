@@ -62,6 +62,27 @@ func (d *DirectTracker) Hypothetical(cur []float64, start int, deltas []float64,
 	return d.agg.HypotheticalACF(cur, start, deltas, sc)
 }
 
+// MaxLag returns the largest maintained lag: a hypothetical evaluation reads
+// cur no further than this from the changed values.
+func (d *DirectTracker) MaxLag() int { return d.agg.L }
+
+// Interior reports whether a change of m values at start lies at least
+// MaxLag from both series ends — the changes CrossTerms accepts.
+func (d *DirectTracker) Interior(start, m int) bool { return d.agg.Interior(start, m) }
+
+// CrossTerms computes the part of Hypothetical that depends only on the
+// change and on cur within MaxLag of it (see Aggregates.CrossTerms); dsxx
+// must have length Lags().
+func (d *DirectTracker) CrossTerms(cur []float64, start int, deltas, dsxx []float64) (ds, dsq2 float64) {
+	return d.agg.CrossTerms(cur, start, deltas, dsxx)
+}
+
+// HypotheticalFromTerms finishes Hypothetical from kept CrossTerms against
+// the live aggregates, bit-identical to evaluating the change afresh.
+func (d *DirectTracker) HypotheticalFromTerms(ds, dsq2 float64, dsxx []float64, sc *Scratch) []float64 {
+	return d.agg.HypotheticalFromTerms(ds, dsq2, dsxx, sc)
+}
+
 // Commit applies the change.
 func (d *DirectTracker) Commit(cur []float64, start int, deltas []float64) {
 	d.agg.Apply(cur, start, deltas)

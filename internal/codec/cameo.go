@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/series"
@@ -29,6 +30,11 @@ type CAMEO struct {
 	Opt core.Options
 
 	engines sync.Pool // *core.Compressor
+
+	// Impact evaluations of every block encoded so far, added once per
+	// block (as its payload is produced): those computed in full and those that reused cached cross
+	// terms (core.Result.Evals/CachedEvals).
+	fullEvals, cachedEvals atomic.Uint64
 }
 
 // NewCAMEO returns a CAMEO codec compressing under opt (Lags and Epsilon /
@@ -80,7 +86,21 @@ func (c *CAMEO) EncodeWithRecon(xs []float64) ([]byte, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	c.countEvals(res)
 	return res.Compressed.Encode(), res.Compressed.Decompress(), nil
+}
+
+func (c *CAMEO) countEvals(res *core.Result) {
+	c.fullEvals.Add(uint64(res.Evals - res.CachedEvals))
+	c.cachedEvals.Add(uint64(res.CachedEvals))
+}
+
+// EvalTotals reports the impact evaluations behind every block this
+// instance has encoded (batch and streamed): full ones, which paid the
+// O(lags*gap) cross-product sums, and cached ones, which reused them. Their
+// ratio is the hit share of core's term cache.
+func (c *CAMEO) EvalTotals() (full, cached uint64) {
+	return c.fullEvals.Load(), c.cachedEvals.Load()
 }
 
 // NewBlockStream returns an incremental encode session backed by a
@@ -92,11 +112,12 @@ func (c *CAMEO) NewBlockStream() (BlockStream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: cameo needs compression options (use NewCAMEO): %w", err)
 	}
-	return &cameoStream{se: se}, nil
+	return &cameoStream{c: c, se: se}, nil
 }
 
 // cameoStream adapts core.StreamEngine to the BlockStream interface.
 type cameoStream struct {
+	c  *CAMEO // for the evaluation totals
 	se *core.StreamEngine
 }
 
@@ -108,6 +129,7 @@ func (s *cameoStream) Payload() ([]byte, []float64, error) {
 	if res == nil {
 		return nil, nil, fmt.Errorf("codec: cameo stream: block not finished")
 	}
+	s.c.countEvals(res) // the protocol takes a block's payload once
 	return res.Compressed.Encode(), res.Compressed.Decompress(), nil
 }
 

@@ -57,6 +57,11 @@ type evalCtx struct {
 	pacf    []float64 // Durbin-Levinson scratch (StatPACF only)
 	phiPrev []float64
 	phiCur  []float64
+
+	// Impact evaluations this context ran since the last reset, and how many
+	// of them found the point's cross terms cached. Per context so the hot
+	// path needs no atomics; result sums them.
+	evals, cached int
 }
 
 // parTask assigns one chunk of the shared point list to eval worker w.
@@ -103,6 +108,8 @@ type engine struct {
 
 	ctxs []*evalCtx // ctxs[0] is the main goroutine's
 
+	cache termCache // per-point cross terms (see termcache.go)
+
 	// Persistent eval workers (Threads >= 2): goroutines started once per
 	// engine that evaluate chunks of parPoints into parKeys, replacing a
 	// per-reHeap goroutine fan-out.
@@ -110,6 +117,7 @@ type engine struct {
 	parWG     sync.WaitGroup
 	parPoints []int32
 	parKeys   []float64
+	parFill   bool // the batch's points map to distinct cache slots
 
 	acfBuf []float64 // base-ACF buffer (reset only)
 	keys   []float64 // heap keys, indexed by point id
@@ -238,6 +246,10 @@ func (e *engine) installTracker(tr acf.Tracker) {
 			e.startWorkers()
 		}
 	}
+	for _, ctx := range e.ctxs {
+		ctx.evals, ctx.cached = 0, 0
+	}
+	e.cache.arm(tr, e.n, e.hops)
 
 	e.acfBuf = grow(e.acfBuf, e.tracker.Lags())
 	e.tracker.ACFInto(e.acfBuf)
@@ -367,7 +379,9 @@ func (e *engine) gapDeltas(p int32, ctx *evalCtx) (int, []float64) {
 	start := int(l) + 1
 	m := int(r) - start
 	if cap(ctx.deltas) < m {
-		ctx.deltas = make([]float64, m)
+		// Gaps widen a point at a time as a run progresses: grow
+		// geometrically, not to the exact width.
+		ctx.deltas = make([]float64, m, max(m, 2*cap(ctx.deltas)))
 	}
 	d := ctx.deltas[:m]
 	y0, y1 := e.cur[l], e.cur[r]
@@ -385,10 +399,10 @@ func (e *engine) gapDeltas(p int32, ctx *evalCtx) (int, []float64) {
 // statistic that committing the removal of p would produce (Alg. 1 checks
 // the bound against the raw ACF P_L, so impacts are absolute deviations,
 // not marginal changes). Steady-state evaluations perform no heap
-// allocation.
-func (e *engine) impact(p int32, ctx *evalCtx) float64 {
-	start, d := e.gapDeltas(p, ctx)
-	hyp := e.tracker.Hypothetical(e.cur, start, d, ctx.sc)
+// allocation. fill lets a cache miss keep the point's cross terms.
+func (e *engine) impact(p int32, ctx *evalCtx, fill bool) float64 {
+	ctx.evals++
+	hyp := e.hypothetical(p, ctx, fill)
 	var v float64
 	if e.fastMAE {
 		// The kernel accumulated sum |hyp_i - base_i| while evaluating;
@@ -432,7 +446,7 @@ func (e *engine) run(stop stopConditions) (runStop, int) {
 		// now exceeds the next candidate's key, push it back and try that
 		// one instead (lazy revalidation; converges because keys become
 		// exact on re-push and state does not change between pops).
-		exact := e.impact(p, e.ctxs[0])
+		exact := e.impact(p, e.ctxs[0], true)
 		units++
 		if !e.opt.NoRevalidate && e.heap.Len() > 0 && exact > e.heap.PeekKey() && exact > key {
 			e.heap.Push(p, exact)
@@ -467,6 +481,9 @@ func (e *engine) remove(p int32, exactDev float64) {
 	e.removed[p] = true
 	e.removedCnt++
 	e.dev = exactDev
+	if e.cache.slots > 0 {
+		e.invalidate(p, l, r)
+	}
 	e.reHeap(p)
 }
 
@@ -511,10 +528,18 @@ func (e *engine) impactInto(points []int32, keys []float64) {
 	if t <= 1 || len(points) < 4*t {
 		ctx := e.ctxs[0]
 		for i, p := range points {
-			keys[i] = e.impact(p, ctx)
+			keys[i] = e.impact(p, ctx, true)
 		}
 		return
 	}
+	// Workers may fill the cache only when no two points of the batch share
+	// a slot, i.e. when the batch spans fewer ids than there are slots;
+	// otherwise this batch's misses are evaluated without being kept.
+	lo, hi := points[0], points[0]
+	for _, p := range points {
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	e.parFill = int(hi-lo) < e.cache.slots
 	e.parPoints, e.parKeys = points, keys
 	chunk := (len(points) + t - 1) / t
 	for w := 1; w < t; w++ {
@@ -527,7 +552,7 @@ func (e *engine) impactInto(points []int32, keys []float64) {
 	}
 	ctx := e.ctxs[0]
 	for i := 0; i < min(chunk, len(points)); i++ {
-		keys[i] = e.impact(points[i], ctx)
+		keys[i] = e.impact(points[i], ctx, e.parFill)
 	}
 	e.parWG.Wait()
 }
@@ -537,16 +562,18 @@ func (e *engine) impactInto(points []int32, keys []float64) {
 func (e *engine) startWorkers() {
 	e.parTasks = make(chan parTask)
 	for w := 1; w < len(e.ctxs); w++ {
-		go e.evalWorker()
+		go e.evalWorker(e.parTasks)
 	}
 }
 
-func (e *engine) evalWorker() {
-	for t := range e.parTasks {
-		points, keys := e.parPoints, e.parKeys
+// evalWorker takes the channel as an argument: close clears the field, and
+// a worker may only just be starting by then.
+func (e *engine) evalWorker(tasks <-chan parTask) {
+	for t := range tasks {
+		points, keys, fill := e.parPoints, e.parKeys, e.parFill
 		ctx := e.ctxs[t.w]
 		for i := t.lo; i < t.hi; i++ {
-			keys[i] = e.impact(points[i], ctx)
+			keys[i] = e.impact(points[i], ctx, fill)
 		}
 		e.parWG.Done()
 	}
@@ -561,12 +588,17 @@ func (e *engine) result() *Result {
 		}
 	}
 	ir := &series.Irregular{N: e.n, Points: pts}
-	return &Result{
+	res := &Result{
 		Compressed: ir,
 		Deviation:  e.dev,
 		Removed:    e.removedCnt,
 		Iterations: e.iterations,
 	}
+	for _, ctx := range e.ctxs {
+		res.Evals += ctx.evals
+		res.CachedEvals += ctx.cached
+	}
+	return res
 }
 
 // InitialImpacts returns the Alg. 2 initial ACF-impact of every point

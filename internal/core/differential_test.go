@@ -207,57 +207,230 @@ func diffSeries(kind string, n int, seed int64) []float64 {
 	return xs
 }
 
+// requireSameResult fails unless got retains bit-identical points (same
+// indices, same values, same deviation, same iteration count) as want.
+func requireSameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if got.Removed != want.Removed || got.Iterations != want.Iterations {
+		t.Fatalf("%s: removed/iterations %d/%d, reference %d/%d",
+			name, got.Removed, got.Iterations, want.Removed, want.Iterations)
+	}
+	if math.Float64bits(got.Deviation) != math.Float64bits(want.Deviation) {
+		t.Fatalf("%s: deviation %x, reference %x",
+			name, math.Float64bits(got.Deviation), math.Float64bits(want.Deviation))
+	}
+	if len(got.Compressed.Points) != len(want.Compressed.Points) {
+		t.Fatalf("%s: %d points, reference %d",
+			name, len(got.Compressed.Points), len(want.Compressed.Points))
+	}
+	for i, p := range got.Compressed.Points {
+		q := want.Compressed.Points[i]
+		if p.Index != q.Index || math.Float64bits(p.Value) != math.Float64bits(q.Value) {
+			t.Fatalf("%s: point %d = (%d,%x), reference (%d,%x)",
+				name, i, p.Index, math.Float64bits(p.Value), q.Index, math.Float64bits(q.Value))
+		}
+	}
+}
+
+// shrinkTermCache makes the term cache hold only slots rows of p lags for
+// the rest of the test, so that a series several times longer evicts.
+func shrinkTermCache(t *testing.T, slots, p int) {
+	t.Helper()
+	old := termCacheBytes
+	termCacheBytes = slots * p * 8
+	t.Cleanup(func() { termCacheBytes = old })
+}
+
 // TestOptimizedMatchesReference is the differential acceptance test: the
 // optimized hot path must retain bit-identical points (same indices, same
 // values, same deviation, same iteration count) as the pre-optimization
 // pipeline across statistics, tracker shapes, and lag-subset
-// configurations, on seeded random, seasonal, and constant series.
+// configurations, on seeded random, seasonal, and constant series. The
+// reference evaluates every impact afresh, so the last group of shapes —
+// lags reaching past the blocking radius, a term cache a sixth of the
+// series, every point re-evaluated per removal, eval workers — is what pins
+// cached evaluations and their invalidation.
 func TestOptimizedMatchesReference(t *testing.T) {
 	configs := []struct {
-		name string
-		opt  Options
+		name       string
+		opt        Options
+		n          int // 0 = 700
+		cacheSlots int // 0 = the default budget
 	}{
-		{"acf-eps", Options{Lags: 16, Epsilon: 0.02}},
-		{"acf-ratio", Options{Lags: 16, TargetRatio: 6}},
-		{"acf-subset", Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{1, 12, 24}}},
-		{"acf-subset-unordered", Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{24, 1, 12, 12}}},
-		{"pacf-eps", Options{Lags: 10, Epsilon: 0.05, Statistic: StatPACF}},
-		{"pacf-subset", Options{Lags: 16, Epsilon: 0.05, Statistic: StatPACF, LagSubset: []int{2, 8}}},
-		{"window-mean", Options{Lags: 6, Epsilon: 0.02, AggWindow: 5, AggFunc: series.AggMean}},
-		{"window-max", Options{Lags: 6, Epsilon: 0.05, AggWindow: 5, AggFunc: series.AggMax}},
-		{"window-subset", Options{Lags: 6, Epsilon: 0.05, AggWindow: 5, AggFunc: series.AggMean, LagSubset: []int{2, 6}}},
-		{"chebyshev", Options{Lags: 16, Epsilon: 0.05, Measure: stats.MeasureChebyshev}},
-		{"no-revalidate", Options{Lags: 16, Epsilon: 0.02, NoRevalidate: true}},
-		{"unblocked", Options{Lags: 12, TargetRatio: 5, BlockHops: -1}},
+		{name: "acf-eps", opt: Options{Lags: 16, Epsilon: 0.02}},
+		{name: "acf-ratio", opt: Options{Lags: 16, TargetRatio: 6}},
+		{name: "acf-subset", opt: Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{1, 12, 24}}},
+		{name: "acf-subset-unordered", opt: Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{24, 1, 12, 12}}},
+		{name: "pacf-eps", opt: Options{Lags: 10, Epsilon: 0.05, Statistic: StatPACF}},
+		{name: "pacf-subset", opt: Options{Lags: 16, Epsilon: 0.05, Statistic: StatPACF, LagSubset: []int{2, 8}}},
+		{name: "window-mean", opt: Options{Lags: 6, Epsilon: 0.02, AggWindow: 5, AggFunc: series.AggMean}},
+		{name: "window-max", opt: Options{Lags: 6, Epsilon: 0.05, AggWindow: 5, AggFunc: series.AggMax}},
+		{name: "window-subset", opt: Options{Lags: 6, Epsilon: 0.05, AggWindow: 5, AggFunc: series.AggMean, LagSubset: []int{2, 6}}},
+		{name: "chebyshev", opt: Options{Lags: 16, Epsilon: 0.05, Measure: stats.MeasureChebyshev}},
+		{name: "no-revalidate", opt: Options{Lags: 16, Epsilon: 0.02, NoRevalidate: true}},
+		{name: "unblocked", opt: Options{Lags: 12, TargetRatio: 5, BlockHops: -1}},
+
+		{name: "lags-past-hops", opt: Options{Lags: 160, Epsilon: 0.05}, n: 1200},
+		{name: "evicting", opt: Options{Lags: 16, Epsilon: 0.02}, n: 1500, cacheSlots: 256},
+		{name: "evicting-subset", opt: Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{1, 12, 24}}, n: 1500, cacheSlots: 256},
+		{name: "evicting-pacf", opt: Options{Lags: 10, Epsilon: 0.05, Statistic: StatPACF}, n: 1500, cacheSlots: 256},
+		{name: "unblocked-eps", opt: Options{Lags: 12, Epsilon: 0.02, BlockHops: -1}},
+		{name: "threads", opt: Options{Lags: 16, Epsilon: 0.02, Threads: 4}},
+		{name: "threads-evicting", opt: Options{Lags: 16, Epsilon: 0.02, Threads: 4}, n: 1500, cacheSlots: 256},
+		{name: "threads-unblocked", opt: Options{Lags: 12, TargetRatio: 5, BlockHops: -1, Threads: 4}},
 	}
 	for _, kind := range []string{"random", "seasonal", "constant"} {
 		for _, cfg := range configs {
-			xs := diffSeries(kind, 700, 42)
-			got, err := Compress(xs, cfg.opt)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, cfg.name, err)
-			}
-			want := referenceCompress(xs, cfg.opt)
-			if got.Removed != want.Removed || got.Iterations != want.Iterations {
-				t.Fatalf("%s/%s: removed/iterations %d/%d, reference %d/%d",
-					kind, cfg.name, got.Removed, got.Iterations, want.Removed, want.Iterations)
-			}
-			if math.Float64bits(got.Deviation) != math.Float64bits(want.Deviation) {
-				t.Fatalf("%s/%s: deviation %x, reference %x",
-					kind, cfg.name, math.Float64bits(got.Deviation), math.Float64bits(want.Deviation))
-			}
-			if len(got.Compressed.Points) != len(want.Compressed.Points) {
-				t.Fatalf("%s/%s: %d points, reference %d",
-					kind, cfg.name, len(got.Compressed.Points), len(want.Compressed.Points))
-			}
-			for i, p := range got.Compressed.Points {
-				q := want.Compressed.Points[i]
-				if p.Index != q.Index || math.Float64bits(p.Value) != math.Float64bits(q.Value) {
-					t.Fatalf("%s/%s: point %d = (%d,%x), reference (%d,%x)",
-						kind, cfg.name, i, p.Index, math.Float64bits(p.Value), q.Index, math.Float64bits(q.Value))
+			t.Run(kind+"/"+cfg.name, func(t *testing.T) {
+				n := cfg.n
+				if n == 0 {
+					n = 700
 				}
+				xs := diffSeries(kind, n, 42)
+				armed := cfg.opt.AggWindow == 0
+				if cfg.cacheSlots > 0 {
+					eng := newEngine(xs, cfg.opt)
+					p := eng.tracker.Lags()
+					eng.close()
+					shrinkTermCache(t, cfg.cacheSlots, p)
+				}
+				eng := newEngine(xs, cfg.opt)
+				if got := eng.cache.slots > 0; got != armed {
+					t.Fatalf("term cache armed = %v, want %v", got, armed)
+				}
+				if cfg.cacheSlots > 0 && eng.cache.slots != cfg.cacheSlots {
+					t.Fatalf("term cache has %d slots, want %d", eng.cache.slots, cfg.cacheSlots)
+				}
+				eng.close()
+				got, err := Compress(xs, cfg.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceCompress(xs, cfg.opt)
+				requireSameResult(t, "Compress", got, want)
+				if armed && kind != "constant" && got.Removed > 0 && got.CachedEvals == 0 {
+					t.Fatalf("no evaluation of %d reused cached terms", got.Evals)
+				}
+			})
+		}
+	}
+}
+
+// TestReusedEnginesMatchReference drives the two engine-reusing entry points
+// over blocks of different lengths with a term cache smaller than the longer
+// ones: a Compressor (whose tags from the previous block must not survive
+// reset) and a StreamEngine advanced one work unit at a time (whose cache is
+// armed mid-block, when the tracker is installed).
+func TestReusedEnginesMatchReference(t *testing.T) {
+	opt := Options{Lags: 16, Epsilon: 0.02}
+	shrinkTermCache(t, 256, opt.Lags)
+	cmp, err := NewCompressor(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cmp.Close()
+	se, err := NewStreamEngine(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	for i, n := range []int{1500, 300, 1100, 128, 1500} {
+		xs := diffSeries("seasonal", n, int64(i+1))
+		want := referenceCompress(xs, opt)
+
+		got, err := cmp.Compress(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, "Compressor", got, want)
+
+		if err := se.Begin(xs); err != nil {
+			t.Fatal(err)
+		}
+		units := 0
+		for {
+			used, done := se.Advance(1)
+			units += used
+			if done {
+				break
 			}
 		}
+		got = se.Result()
+		requireSameResult(t, "StreamEngine", got, want)
+		// Units beyond the evaluations are the n samples fed to the
+		// aggregate builder.
+		if got.Evals != units-n {
+			t.Fatalf("block %d: %d impact evaluations, %d work units after the %d-sample build", i, got.Evals, units-n, n)
+		}
+		if got.CachedEvals == 0 || got.CachedEvals >= got.Evals {
+			t.Fatalf("block %d: %d of %d evaluations cached", i, got.CachedEvals, got.Evals)
+		}
+	}
+}
+
+// TestTermCacheEntriesStayExact is the invalidation property: after every
+// removal of a run, every entry the cache still marks valid holds, bit for
+// bit, the terms a computation from the current state yields. A missed
+// invalidation (a point within MaxLag of the change but beyond the blocking
+// radius, say) fails here at the removal that caused it, not whenever the
+// stale entry is next popped.
+func TestTermCacheEntriesStayExact(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		opt        Options
+		n          int
+		cacheSlots int
+	}{
+		{"default", Options{Lags: 24, Epsilon: 0.05}, 900, 0},
+		{"lags-past-hops", Options{Lags: 150, Epsilon: 0.05, BlockHops: 3}, 900, 0},
+		{"subset", Options{Lags: 48, Epsilon: 0.05, LagSubset: []int{1, 24, 48}}, 900, 0},
+		{"evicting", Options{Lags: 8, Epsilon: 0.05}, 1200, 256},
+		{"unblocked", Options{Lags: 8, TargetRatio: 4, BlockHops: -1}, 400, 0},
+		{"threads", Options{Lags: 12, Epsilon: 0.05, Threads: 3}, 900, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			xs := diffSeries("seasonal", tc.n, 11)
+			if tc.cacheSlots > 0 {
+				shrinkTermCache(t, tc.cacheSlots, tc.opt.Lags)
+			}
+			eng := newEngine(xs, tc.opt)
+			defer eng.close()
+			c := &eng.cache
+			if c.slots == 0 {
+				t.Fatal("term cache not armed")
+			}
+			fresh := eng.newEvalCtx()
+			row := make([]float64, c.p)
+			checked := 0
+			for {
+				for s, q := range c.tag {
+					if q < 0 {
+						continue
+					}
+					if eng.removed[q] {
+						t.Fatalf("after %d removals: slot %d holds removed point %d", eng.removedCnt, s, q)
+					}
+					start, d := eng.gapDeltas(q, fresh)
+					ds, dsq2 := c.direct.CrossTerms(eng.cur, start, d, row)
+					if math.Float64bits(ds) != math.Float64bits(c.ds[s]) || math.Float64bits(dsq2) != math.Float64bits(c.dsq2[s]) {
+						t.Fatalf("after %d removals: point %d has stale ds/dsq2", eng.removedCnt, q)
+					}
+					for i, v := range c.rows[s*c.p : (s+1)*c.p] {
+						if math.Float64bits(v) != math.Float64bits(row[i]) {
+							t.Fatalf("after %d removals: point %d has a stale cross product at position %d", eng.removedCnt, q, i)
+						}
+					}
+					checked++
+				}
+				stop, _ := eng.run(stopConditions{epsilon: tc.opt.Epsilon, targetRatio: tc.opt.TargetRatio, maxRemovals: 1})
+				if stop != runBudget {
+					break
+				}
+			}
+			if eng.removedCnt < 50 || checked < 20*eng.removedCnt {
+				t.Fatalf("weak run: %d removals, %d entries checked", eng.removedCnt, checked)
+			}
+		})
 	}
 }
 
@@ -322,27 +495,50 @@ func TestThreadedMatchesSerial(t *testing.T) {
 // impact evaluation — gap interpolation, hypothetical ACF, feature
 // projection, deviation measure — performs zero heap allocations for the
 // direct tracker, and for PACF once the Durbin-Levinson scratch is warm.
+// Where the term cache is armed it covers both kinds of evaluation: one that
+// finds the point's cross terms and one that computes and keeps them.
 func TestImpactEvalZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opt  Options
+		name   string
+		opt    Options
+		cached bool
 	}{
-		{"acf-direct", Options{Lags: 48, Epsilon: 0.01}},
-		{"acf-subset", Options{Lags: 48, Epsilon: 0.01, LagSubset: []int{1, 24, 48}}},
-		{"pacf", Options{Lags: 24, Epsilon: 0.01, Statistic: StatPACF}},
-		{"window", Options{Lags: 8, Epsilon: 0.01, AggWindow: 6, AggFunc: series.AggMean}},
+		{"acf-direct", Options{Lags: 48, Epsilon: 0.01}, true},
+		{"acf-subset", Options{Lags: 48, Epsilon: 0.01, LagSubset: []int{1, 24, 48}}, true},
+		{"pacf", Options{Lags: 24, Epsilon: 0.01, Statistic: StatPACF}, true},
+		{"window", Options{Lags: 8, Epsilon: 0.01, AggWindow: 6, AggFunc: series.AggMean}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			xs := diffSeries("seasonal", 2000, 9)
 			eng := newEngine(xs, tc.opt)
 			defer eng.close()
+			if armed := eng.cache.slots > 0; armed != tc.cached {
+				t.Fatalf("term cache armed = %v, want %v", armed, tc.cached)
+			}
 			ctx := eng.ctxs[0]
 			// Warm the window-delta buffer once (it grows on first use).
-			eng.impact(1000, ctx)
+			eng.impact(1000, ctx, true)
+			before := ctx.cached
 			if n := testing.AllocsPerRun(100, func() {
-				eng.impact(1000, ctx)
+				eng.impact(1000, ctx, true)
 			}); n != 0 {
 				t.Fatalf("impact allocates %v per run, want 0", n)
+			}
+			if hit := ctx.cached > before; hit != tc.cached {
+				t.Fatalf("evaluations served from cached terms = %v, want %v", hit, tc.cached)
+			}
+			if !tc.cached {
+				return
+			}
+			before = ctx.cached
+			if n := testing.AllocsPerRun(100, func() {
+				eng.cache.drop(1000)
+				eng.impact(1000, ctx, true)
+			}); n != 0 {
+				t.Fatalf("impact allocates %v per run computing the terms, want 0", n)
+			}
+			if ctx.cached != before {
+				t.Fatal("a dropped entry was served from the cache")
 			}
 		})
 	}

@@ -151,6 +151,13 @@ type Result struct {
 	Removed int
 	// Iterations counts heap pops (including revalidation re-pushes).
 	Iterations int
+	// Evals counts impact evaluations: one per interior point for the
+	// initial heap, one per pop, one per neighbour re-evaluated after a
+	// removal — the work units StreamEngine.Advance budgets.
+	Evals int
+	// CachedEvals is the part of Evals that reused the candidate's cross
+	// terms (an O(L) evaluation instead of O(L*gap)).
+	CachedEvals int
 }
 
 // CompressionRatio returns |X| / |X'| for the result.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"net/http"
 	"os"
@@ -22,6 +23,10 @@ type seriesBatch struct {
 	name   string
 	values []float64
 	stamps []int64 // optional per-point timestamps (line form only)
+
+	// nonFiniteLine is the 1-based line of the series' first NaN/±Inf value,
+	// 0 if it has none. (Line form only: JSON has no literal for them.)
+	nonFiniteLine int
 }
 
 // writeRequest is the JSON batch form of POST /api/v1/write:
@@ -112,12 +117,18 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Validate every name before the first Append: a batch naming an
-	// invalid series fails whole instead of landing a prefix and then
-	// duplicating it when the client retries.
+	// Validate every name and value before the first Append: a batch
+	// naming an invalid series, or carrying a non-finite sample to a series
+	// that cannot store one, fails whole instead of landing a prefix and
+	// then duplicating it when the client retries.
 	for _, b := range batches {
 		if err := tsdb.ValidateSeriesName(b.name); err != nil {
 			httpError(w, err)
+			return
+		}
+		if b.nonFiniteLine > 0 && !s.db.AcceptsNonFinite(b.name) {
+			httpError(w, fmt.Errorf("line %d: series %q: %w (the store's codec is lossy)",
+				b.nonFiniteLine, b.name, tsdb.ErrNonFinite))
 			return
 		}
 	}
@@ -226,6 +237,9 @@ func parseLineBatch(body []byte) ([]seriesBatch, error) {
 		}
 		batches[j].values = append(batches[j].values, val)
 		batches[j].stamps = append(batches[j].stamps, stamp)
+		if batches[j].nonFiniteLine == 0 && (math.IsNaN(val) || math.IsInf(val, 0)) {
+			batches[j].nonFiniteLine = lineNo
+		}
 	}
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("empty write: no data lines")

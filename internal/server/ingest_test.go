@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/tsdb"
 )
 
@@ -320,5 +321,45 @@ func TestHostileSeriesNames(t *testing.T) {
 		if e.Name() != "..%2Fevil" {
 			t.Fatalf("unexpected store entry %q", e.Name())
 		}
+	}
+}
+
+// TestWriteRejectsNonFinite: strconv.ParseFloat accepts "NaN" and "Inf", and
+// a lossy store cannot compress them — such a sample used to fail its block
+// in the background and wedge every later write. The batch is now answered
+// 400 naming the offending line, none of it lands, and the store keeps
+// serving; a lossless store takes the same body.
+func TestWriteRejectsNonFinite(t *testing.T) {
+	db, srv := newTestServer(t, nil, Options{}, map[string][]float64{"a": sensorData(600, 1)})
+	for _, bad := range []string{"NaN", "+Inf", "-inf"} {
+		body := "b 1.5\na 2.5\n# comment\na " + bad + "\nb 3.5\n"
+		status, resp, _ := httpPost(t, srv.URL+"/api/v1/write", "text/plain", body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("write of %s: status %d (%s), want 400", bad, status, resp)
+		}
+		if !strings.Contains(resp, "line 4") || !strings.Contains(resp, `"a"`) {
+			t.Fatalf("write of %s: response %q does not name line 4 of series a", bad, resp)
+		}
+	}
+	if _, err := db.Query("b", 0, 1); err == nil {
+		t.Fatal("a series of a rejected batch was partially applied")
+	}
+	if got, err := db.Query("a", 0, 1000); err != nil || len(got) != 600 {
+		t.Fatalf("a after the rejected writes: %d samples, %v; want its 600", len(got), err)
+	}
+	var sb strings.Builder
+	for i, v := range sensorData(600, 2) {
+		fmt.Fprintf(&sb, "%s %v\n", []string{"a", "b"}[i%2], v)
+	}
+	if status, resp, _ := httpPost(t, srv.URL+"/api/v1/write", "text/plain", sb.String()); status != http.StatusOK {
+		t.Fatalf("write after the rejected ones: %d %s", status, resp)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("Flush after the rejected writes: %v", err)
+	}
+
+	_, lossless := newTestServer(t, codec.Gorilla{}, Options{}, nil)
+	if status, resp, _ := httpPost(t, lossless.URL+"/api/v1/write", "text/plain", "a 1.5\na NaN\na +Inf\n"); status != http.StatusOK {
+		t.Fatalf("NaN write to a gorilla store: %d %s", status, resp)
 	}
 }

@@ -31,8 +31,9 @@
 // cache-resident blocks stream without even that copy. Aggregate queries
 // map straight onto QueryAgg, riding the codec pushdown for cold blocks.
 //
-// Store errors map onto statuses: tsdb.ErrBadSeriesName and
-// tsdb.ErrInvalidRange are the caller's fault (400), tsdb.ErrUnknownSeries
+// Store errors map onto statuses: tsdb.ErrBadSeriesName,
+// tsdb.ErrInvalidRange and tsdb.ErrNonFinite (a NaN/±Inf sample written to
+// a lossy store) are the caller's fault (400), tsdb.ErrUnknownSeries
 // is 404, an overlong body is 413, and anything else is a 500. Hostile
 // series names ("", ".", "..", their escaped spellings) are rejected by
 // the store's own validation before any filesystem path is formed.
@@ -190,7 +191,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func httpError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	switch {
-	case errors.Is(err, tsdb.ErrBadSeriesName), errors.Is(err, tsdb.ErrInvalidRange):
+	case errors.Is(err, tsdb.ErrBadSeriesName), errors.Is(err, tsdb.ErrInvalidRange), errors.Is(err, tsdb.ErrNonFinite):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, tsdb.ErrUnknownSeries):
 		http.Error(w, err.Error(), http.StatusNotFound)

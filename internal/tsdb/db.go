@@ -264,6 +264,14 @@ var ErrUnknownSeries = errors.New("tsdb: unknown series")
 // mapped to a directory of their own under the store root.
 var ErrBadSeriesName = errors.New("tsdb: invalid series name")
 
+// ErrNonFinite is returned by Append for a NaN or ±Inf sample headed for a
+// lossy codec, none of which can compress one (CAMEO's ACF is undefined,
+// the segment codecs' bounds are). The append is refused whole, before
+// anything is buffered: a block holding such a sample could never be cut,
+// and its failure would stall every later write to the store. Lossless
+// codecs store the bits exactly and accept them (see AcceptsNonFinite).
+var ErrNonFinite = errors.New("tsdb: non-finite sample")
+
 // ErrInvalidRange is returned by Query, QueryInto, Cursor, and QueryAgg
 // when from > to — an inverted range is a caller bug, and answering it
 // with a silent empty result would hide that. (Out-of-bounds ranges in

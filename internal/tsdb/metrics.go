@@ -44,6 +44,13 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 		e.Counter("cameo_store_trimmed_bytes_total", "Compressed bytes reclaimed by retention.", s.TrimmedBytes)
 		e.Counter("cameo_store_series_deleted_total", "Series removed by DeleteSeries.", s.SeriesDeleted)
 
+		if c, ok := db.opt.Codec.(*codec.CAMEO); ok {
+			const help = "CAMEO impact evaluations behind the blocks written, by whether the candidate's cross terms were computed (full) or reused (cached)."
+			full, cached := c.EvalTotals()
+			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "full"), full)
+			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "cached"), cached)
+		}
+
 		e.Histogram("cameo_store_append_latency_seconds",
 			"Append wall time (all modes).", 1e-9, db.appendLatency.Snapshot())
 		e.HistogramL("cameo_store_query_latency_seconds",

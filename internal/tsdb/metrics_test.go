@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/metrics"
 )
 
@@ -122,5 +123,60 @@ func TestRegisterMetricsCoversStats(t *testing.T) {
 		if !strings.Contains(jb.String(), key) {
 			t.Fatalf("JSON view missing %s:\n%s", key, jb.String())
 		}
+	}
+}
+
+// TestCoreEvalsMetric pins cameo_core_evals_total: a CAMEO store exports
+// the impact evaluations behind its blocks split by path, the streaming
+// write mode (which slices the batch algorithm's exact work) counts the same
+// totals as the batch one, and a store under another codec has no such
+// family to export.
+func TestCoreEvalsMetric(t *testing.T) {
+	scrape := func(opt Options) string {
+		t.Helper()
+		db, err := Open(t.TempDir(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if err := db.Append("cpu", sensorData(3*opt.BlockSize+10, 2)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		db.RegisterMetrics(reg)
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(l, "cameo_core_evals_total{") {
+				lines = append(lines, l)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	batch := scrape(dbOptions())
+	var full, cached uint64
+	if _, err := fmt.Sscanf(batch, "cameo_core_evals_total{path=\"full\"} %d\ncameo_core_evals_total{path=\"cached\"} %d", &full, &cached); err != nil {
+		t.Fatalf("unexpected exposition %q: %v", batch, err)
+	}
+	// Three 512-sample blocks: at least the 510 initial impacts each in
+	// full, and the heap loop's far neighbours from the cache.
+	if full < 3*510 || cached == 0 {
+		t.Fatalf("full=%d cached=%d after three blocks", full, cached)
+	}
+	streaming := dbOptions()
+	streaming.Streaming = true
+	if got := scrape(streaming); got != batch {
+		t.Fatalf("streaming store counted\n%s\nbatch store\n%s", got, batch)
+	}
+	lossless := dbOptions()
+	lossless.Codec = codec.Gorilla{}
+	if got := scrape(lossless); got != "" {
+		t.Fatalf("gorilla store exports %q", got)
 	}
 }

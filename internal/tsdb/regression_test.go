@@ -2,10 +2,13 @@ package tsdb
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // TestRejectsUnsafeSeriesNames covers the path-traversal fix: "", ".", and
@@ -363,4 +366,97 @@ func TestQueryServesRepairedBlock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked query never returned")
 	}
+}
+
+// TestAppendRejectsNonFinite covers the poison-pill fix: a NaN or ±Inf
+// sample used to be buffered, fail its block in the compressor ("input
+// contains non-finite values"), latch the store-wide first error, and from
+// then on every Append to every series was refused and Flush failed
+// forever. It is now refused at the boundary with ErrNonFinite, before
+// anything is buffered, in every write mode; the series' earlier data
+// stays queryable and every series — the offending one included — keeps
+// appending and flushing. Lossless codecs store the bits and accept them.
+func TestAppendRejectsNonFinite(t *testing.T) {
+	modes := map[string]func(*Options){
+		"async":     func(o *Options) { o.Workers = 2 },
+		"inline":    func(o *Options) { o.Workers = -1 },
+		"streaming": func(o *Options) { o.Workers = 2; o.Streaming = true },
+	}
+	for mode, set := range modes {
+		t.Run(mode, func(t *testing.T) {
+			opt := dbOptions()
+			set(&opt)
+			db, err := Open(t.TempDir(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			good := sensorData(700, 5) // one cut block and a tail
+			if err := db.Append("a", good...); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Append("b", good[:100]...); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				err := db.Append("a", 1, 2, bad, 4)
+				if !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("Append with %v = %v, want ErrNonFinite", bad, err)
+				}
+			}
+			// Nothing of the refused appends was buffered, and "a" still
+			// serves what it held.
+			got, err := db.Query("a", 0, 10000)
+			if err != nil {
+				t.Fatalf("Query(a) after the refused append: %v", err)
+			}
+			if len(got) != len(good) {
+				t.Fatalf("a holds %d samples after the refused appends, want %d", len(got), len(good))
+			}
+			// Every series keeps appending, cutting blocks and flushing.
+			for _, name := range []string{"a", "b", "c"} {
+				if err := db.Append(name, good...); err != nil {
+					t.Fatalf("Append(%s) after the refused append: %v", name, err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatalf("Flush after the refused append: %v", err)
+			}
+			for name, want := range map[string]int{"a": 1400, "b": 800, "c": 700} {
+				if got, err := db.Query(name, 0, 10000); err != nil || len(got) != want {
+					t.Fatalf("Query(%s) = %d samples, %v; want %d", name, len(got), err, want)
+				}
+			}
+		})
+	}
+
+	t.Run("lossless", func(t *testing.T) {
+		opt := dbOptions()
+		opt.Codec = codec.Gorilla{}
+		db, err := Open(t.TempDir(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if !db.AcceptsNonFinite("a") {
+			t.Fatal("a gorilla store claims to refuse non-finite samples")
+		}
+		in := sensorData(600, 6)
+		in[3], in[300], in[599] = math.NaN(), math.Inf(1), math.Inf(-1)
+		if err := db.Append("a", in...); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Query("a", 0, len(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range in {
+			if math.Float64bits(got[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("sample %d = %v, want %v bit-exactly", i, got[i], in[i])
+			}
+		}
+	})
 }

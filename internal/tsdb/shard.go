@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -150,7 +151,9 @@ func (db *DB) shardFor(name string) *shard {
 // the block-cut cost spike with a bounded per-append contribution. After
 // an async block compression fails, Append refuses further writes until a
 // Flush repairs the failed block, so callers find out about the failure
-// before it is buried under acknowledged-but-undurable data.
+// before it is buried under acknowledged-but-undurable data. A NaN or ±Inf
+// sample headed for a lossy codec is the caller's error, not a block
+// failure: the append is refused with ErrNonFinite and buffers nothing.
 //
 // Every Append records its wall time in the DB.Stats latency histogram.
 func (db *DB) Append(name string, values ...float64) error {
@@ -160,9 +163,23 @@ func (db *DB) Append(name string, values ...float64) error {
 	return err
 }
 
+// AcceptsNonFinite reports whether the series may hold NaN and ±Inf
+// samples: true exactly when the codec its blocks are written with is
+// lossless.
+func (db *DB) AcceptsNonFinite(series string) bool {
+	return !db.codecForSeries(series).Lossy()
+}
+
 func (db *DB) appendSamples(name string, values []float64) error {
 	if err := validateSeriesName(name); err != nil {
 		return err
+	}
+	if !db.AcceptsNonFinite(name) {
+		for i, v := range values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("tsdb: series %q: sample %d of the append is %v: %w", name, i, v, ErrNonFinite)
+			}
+		}
 	}
 	if err := db.err(); err != nil {
 		return fmt.Errorf("tsdb: a block compression failed (Flush retries it): %w", err)

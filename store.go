@@ -183,6 +183,12 @@ var ErrUnknownSeries = tsdb.ErrUnknownSeries
 // cannot name a directory of their own under the store root ("", ".", "..").
 var ErrBadSeriesName = tsdb.ErrBadSeriesName
 
+// ErrNonFinite is returned by Store.Append for a NaN or ±Inf sample when
+// the store's codec is lossy; the append is refused whole and the store
+// keeps serving. Lossless codecs (gorilla, chimp, elf) accept such samples
+// and return them bit-exactly.
+var ErrNonFinite = tsdb.ErrNonFinite
+
 // ErrInvalidRange is returned by Store.Query, QueryInto, Cursor, and
 // QueryAgg when from > to: an inverted range is a caller bug and errors
 // instead of yielding a silent empty result. Out-of-bounds ranges in the
