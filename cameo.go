@@ -73,6 +73,25 @@ type CoarseOptions = core.CoarseOptions
 // Result reports a compression outcome.
 type Result = core.Result
 
+// Stop says why a compression run ended (Result.Stop).
+type Stop = core.Stop
+
+// Stop reasons.
+const (
+	// StopNone marks a result merged from several runs (CompressCoarse,
+	// StreamCompressor.Flush).
+	StopNone = core.StopNone
+	// StopDone: every interior point was removed.
+	StopDone = core.StopDone
+	// StopBound: the least-impact candidate would violate Epsilon.
+	StopBound = core.StopBound
+	// StopRatio: TargetRatio was reached.
+	StopRatio = core.StopRatio
+	// StopProbe: the two endpoints alone were within Epsilon, found before
+	// any heap was built.
+	StopProbe = core.StopProbe
+)
+
 // Statistic selects the preserved statistic.
 type Statistic = core.Statistic
 

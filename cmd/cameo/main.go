@@ -66,7 +66,7 @@ func main() {
 		stat       = flag.String("stat", "acf", "statistic to preserve: acf or pacf")
 		agg        = flag.Int("agg", 0, "tumbling-window size for on-aggregates mode (0 = direct)")
 		aggFn      = flag.String("aggfn", "mean", "aggregation function: mean, sum, max, min")
-		hops       = flag.Int("hops", 0, "blocking neighbourhood (0 = default 5*log2 n, -1 = unlimited)")
+		hops       = flag.Int("hops", 0, "blocking neighbourhood: alive neighbours a side re-evaluated after a removal (0 = default 4, -1 = unlimited)")
 		threads    = flag.Int("threads", 1, "fine-grained threads")
 		partitions = flag.Int("partitions", 1, "coarse-grained partitions (requires -eps)")
 		decomp     = flag.Bool("decompress", false, "decompress a compressed CSV or block file instead")

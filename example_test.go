@@ -24,7 +24,7 @@ func ExampleCompress() {
 	}
 	fmt.Printf("retained %d of 480 points, deviation under bound: %v\n",
 		res.Compressed.Len(), res.Deviation <= 0.01)
-	// Output: retained 74 of 480 points, deviation under bound: true
+	// Output: retained 75 of 480 points, deviation under bound: true
 }
 
 // Compression-centric mode (Definition 3): hit a ratio, observe the

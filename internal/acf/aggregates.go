@@ -340,6 +340,21 @@ func (a *Aggregates) Apply(cur []float64, start int, deltas []float64) {
 	}
 }
 
+// ApplyTerms is Apply for an Interior change whose CrossTerms the caller
+// kept. There every delta is a head and a tail member at every lag, so the
+// five per-lag deltas lagDeltas would accumulate are exactly (ds, ds,
+// dsxx[i], dsq2, dsq2): the same aggregates bit for bit in O(Positions())
+// instead of O(Positions()*len(deltas)).
+func (a *Aggregates) ApplyTerms(ds, dsq2 float64, dsxx []float64) {
+	for i, dx := range dsxx[:len(a.sx)] {
+		a.sx[i] += ds
+		a.sxl[i] += ds
+		a.sxx[i] += dx
+		a.sx2[i] += dsq2
+		a.sx2l[i] += dsq2
+	}
+}
+
 // Scratch holds reusable buffers for hypothetical (non-mutating) ACF
 // evaluation. A Scratch must not be shared between goroutines; allocate one
 // per worker.

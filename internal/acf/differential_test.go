@@ -308,3 +308,62 @@ func TestTermsBitIdenticalToReference(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyTermsBitIdenticalToApply pins the O(P) commit from kept terms to
+// Apply's O(P*m) pass: for interior gaps on both sides of every pair cut,
+// dense and compact, with the terms computed before the aggregates moved (a
+// commit further than L away, as between a cached evaluation and the pop
+// that commits it), all five aggregate arrays end up the same bit for bit.
+func TestApplyTermsBitIdenticalToApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const L = 12
+	for _, lags := range [][]int{nil, {1, 5, 12}, {2, 3, 4, 11}} {
+		for _, m := range []int{1, 2, L - 1, L, L + 1, 3 * L} {
+			n := 20*L + m
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 5 + 3*math.Sin(2*math.Pi*float64(i)/24) + 0.3*rng.NormFloat64()
+			}
+			agg := NewAggregates(xs, L)
+			if lags != nil {
+				agg = NewAggregatesLags(xs, lags)
+			}
+			deltas := make([]float64, m)
+			for i := range deltas {
+				deltas[i] = rng.NormFloat64() * 4
+			}
+			for _, start := range []int{L, 7 * L, n - m - L} {
+				row := make([]float64, agg.Positions())
+				ds, dsq2 := agg.CrossTerms(xs, start, deltas, row)
+
+				far := []float64{rng.NormFloat64(), rng.NormFloat64()}
+				at := start + m + L
+				if at+len(far) > n {
+					at = start - L - len(far)
+				}
+				agg.Apply(xs, at, far)
+				for i, d := range far {
+					xs[at+i] += d
+				}
+
+				want := agg.Clone()
+				want.Apply(xs, start, deltas)
+				agg.ApplyTerms(ds, dsq2, row)
+				for _, pair := range []struct {
+					name      string
+					got, want []float64
+				}{
+					{"sx", agg.sx, want.sx}, {"sxl", agg.sxl, want.sxl}, {"sxx", agg.sxx, want.sxx},
+					{"sx2", agg.sx2, want.sx2}, {"sx2l", agg.sx2l, want.sx2l},
+				} {
+					if !bitsEqual(pair.got, pair.want) {
+						t.Fatalf("lags=%v m=%d start=%d: %s from kept terms\n got %v\nwant %v", lags, m, start, pair.name, pair.got, pair.want)
+					}
+				}
+				for i, d := range deltas {
+					xs[start+i] += d
+				}
+			}
+		}
+	}
+}

@@ -83,6 +83,12 @@ func (d *DirectTracker) HypotheticalFromTerms(ds, dsq2 float64, dsxx []float64, 
 	return d.agg.HypotheticalFromTerms(ds, dsq2, dsxx, sc)
 }
 
+// ApplyTerms is Commit for an Interior change whose CrossTerms the caller
+// kept: the same aggregates bit for bit, in O(Lags()).
+func (d *DirectTracker) ApplyTerms(ds, dsq2 float64, dsxx []float64) {
+	d.agg.ApplyTerms(ds, dsq2, dsxx)
+}
+
 // Commit applies the change.
 func (d *DirectTracker) Commit(cur []float64, start int, deltas []float64) {
 	d.agg.Apply(cur, start, deltas)

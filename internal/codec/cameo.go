@@ -31,10 +31,12 @@ type CAMEO struct {
 
 	engines sync.Pool // *core.Compressor
 
-	// Impact evaluations of every block encoded so far, added once per
-	// block (as its payload is produced): those computed in full and those that reused cached cross
-	// terms (core.Result.Evals/CachedEvals).
-	fullEvals, cachedEvals atomic.Uint64
+	// Totals over every block encoded so far, added once per block (as its
+	// payload is produced): impact evaluations computed in full and those
+	// that reused cached cross terms (core.Result.Evals/CachedEvals), heap
+	// pops (Iterations), and blocks by why their run ended (Stop).
+	fullEvals, cachedEvals, pops atomic.Uint64
+	stops                        [core.StopProbe + 1]atomic.Uint64
 }
 
 // NewCAMEO returns a CAMEO codec compressing under opt (Lags and Epsilon /
@@ -86,13 +88,15 @@ func (c *CAMEO) EncodeWithRecon(xs []float64) ([]byte, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c.countEvals(res)
+	c.count(res)
 	return res.Compressed.Encode(), res.Compressed.Decompress(), nil
 }
 
-func (c *CAMEO) countEvals(res *core.Result) {
+func (c *CAMEO) count(res *core.Result) {
 	c.fullEvals.Add(uint64(res.Evals - res.CachedEvals))
 	c.cachedEvals.Add(uint64(res.CachedEvals))
+	c.pops.Add(uint64(res.Iterations))
+	c.stops[res.Stop].Add(1)
 }
 
 // EvalTotals reports the impact evaluations behind every block this
@@ -101,6 +105,18 @@ func (c *CAMEO) countEvals(res *core.Result) {
 // ratio is the hit share of core's term cache.
 func (c *CAMEO) EvalTotals() (full, cached uint64) {
 	return c.fullEvals.Load(), c.cachedEvals.Load()
+}
+
+// RunTotals reports how the runs behind every block this instance has
+// encoded went: heap pops in total — over the samples removed it is the
+// pops-per-removal figure that dominates the loop at the default radius —
+// and blocks by stop reason, indexed by core.Stop (StopProbe's share is the
+// two-point probe's hit rate).
+func (c *CAMEO) RunTotals() (pops uint64, blocks [core.StopProbe + 1]uint64) {
+	for i := range c.stops {
+		blocks[i] = c.stops[i].Load()
+	}
+	return c.pops.Load(), blocks
 }
 
 // NewBlockStream returns an incremental encode session backed by a
@@ -117,7 +133,7 @@ func (c *CAMEO) NewBlockStream() (BlockStream, error) {
 
 // cameoStream adapts core.StreamEngine to the BlockStream interface.
 type cameoStream struct {
-	c  *CAMEO // for the evaluation totals
+	c  *CAMEO // for the per-block totals
 	se *core.StreamEngine
 }
 
@@ -129,7 +145,7 @@ func (s *cameoStream) Payload() ([]byte, []float64, error) {
 	if res == nil {
 		return nil, nil, fmt.Errorf("codec: cameo stream: block not finished")
 	}
-	s.c.countEvals(res) // the protocol takes a block's payload once
+	s.c.count(res) // the protocol takes a block's payload once
 	return res.Compressed.Encode(), res.Compressed.Decompress(), nil
 }
 

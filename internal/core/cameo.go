@@ -20,13 +20,9 @@ func Compress(xs []float64, opt Options) (*Result, error) {
 	if err := checkFinite(xs); err != nil {
 		return nil, err
 	}
-	eng := newEngine(xs, opt)
+	eng := &engine{}
 	defer eng.close()
-	eng.run(stopConditions{
-		epsilon:     opt.Epsilon,
-		targetRatio: opt.TargetRatio,
-	})
-	return eng.result(), nil
+	return eng.compress(xs, opt), nil
 }
 
 // stopConditions bundles the halting rules of the three problem variants.
@@ -36,16 +32,6 @@ type stopConditions struct {
 	maxRemovals int     // 0 = unlimited
 	maxUnits    int     // 0 = unlimited; work-unit budget (impact evaluations)
 }
-
-// runStop reports why run returned.
-type runStop int
-
-const (
-	runDone   runStop = iota // heap exhausted: every interior point removed
-	runBound                 // least-impact candidate violates epsilon (terminal)
-	runRatio                 // target compression ratio reached (terminal)
-	runBudget                // maxRemovals/maxUnits exhausted (resumable)
-)
 
 // evalCtx is per-goroutine scratch for impact evaluation. After warm-up a
 // context is allocation-free: every buffer an evaluation needs lives here or
@@ -155,6 +141,51 @@ func (e *engine) reset(xs []float64, opt Options) {
 	e.armHeap()
 }
 
+// compress is one whole run under opt's own stop conditions, the body of
+// Compress and Compressor.Compress: reset with the two-point probe between
+// the tracker and the initial impacts.
+func (e *engine) compress(xs []float64, opt Options) *Result {
+	e.resetPre(xs, opt)
+	e.installTracker(e.buildTracker(e.orig))
+	if e.probes() && e.probe() {
+		return e.result(StopProbe)
+	}
+	e.initImpacts(0, len(e.points))
+	e.armHeap()
+	stop, _ := e.run(stopConditions{epsilon: opt.Epsilon, targetRatio: opt.TargetRatio})
+	return e.result(stop)
+}
+
+// probes reports whether a fresh run may take the two-point answer: only a
+// deviation bound can accept it, and a ratio stop would halt earlier.
+func (e *engine) probes() bool {
+	return e.opt.Epsilon > 0 && e.opt.TargetRatio == 0 && e.n > 2
+}
+
+// probe evaluates, from scratch, the reconstruction that keeps only the two
+// endpoints — Deviation's computation on Irregular.Decompress's values, so a
+// verifier recomputes Result.Deviation exactly. Within epsilon it is the
+// maximum-compression answer and is committed without building a heap: a
+// smooth block otherwise ends there after n-2 removals across ever wider
+// gaps. NaN fails the comparison. A miss has cost two ACF extractions.
+func (e *engine) probe() bool {
+	n := e.n
+	ends := series.Irregular{N: n, Points: []series.Point{{Index: 0, Value: e.orig[0]}, {Index: n - 1, Value: e.orig[n-1]}}}
+	e.cur = ends.DecompressRange(0, n, e.cur[:0])
+	// Both errors are always nil (the signatures predate that).
+	base, _ := globalFeature(e.orig, e.opt)
+	dev, _ := deviationFrom(e.cur, base, e.opt)
+	if !(dev <= e.opt.Epsilon) {
+		copy(e.cur, e.orig)
+		return false
+	}
+	for i := 1; i < n-1; i++ {
+		e.removed[i] = true
+	}
+	e.dev, e.removedCnt = dev, n-2
+	return true
+}
+
 // resetPre performs the tracker-independent part of reset: copies the
 // input, re-arms pointer/flag buffers, derives the tracker shape
 // (trackLags/compactLags) and builds the interior point list. O(n).
@@ -171,7 +202,7 @@ func (e *engine) resetPre(xs []float64, opt Options) {
 	e.dev, e.removedCnt, e.iterations = 0, 0, 0
 	e.hops = opt.BlockHops
 	if e.hops == 0 {
-		e.hops = defaultBlockHops(n)
+		e.hops = defaultBlockHops(n, opt.NoRevalidate)
 	}
 
 	e.trackLags = opt.Lags
@@ -419,24 +450,24 @@ func (e *engine) impact(p int32, ctx *evalCtx, fill bool) float64 {
 }
 
 // run removes points until a stop condition fires. It may be called again
-// with looser conditions to resume; a runBudget return resumes exactly
+// with looser conditions to resume; a stopBudget return resumes exactly
 // where it left off (the budgeted call performs the same operations in the
 // same order as an unbudgeted one, so resumed runs are bit-identical to
 // batch runs). Returns why it stopped and the number of work units spent —
 // one unit per impact evaluation, the currency StreamEngine paces by.
-func (e *engine) run(stop stopConditions) (runStop, int) {
+func (e *engine) run(stop stopConditions) (Stop, int) {
 	alive := e.n - e.removedCnt
 	removedThisCall := 0
 	units := 0
 	for e.heap.Len() > 0 {
 		if stop.targetRatio > 0 && float64(e.n) >= stop.targetRatio*float64(alive) {
-			return runRatio, units
+			return StopRatio, units
 		}
 		if stop.maxRemovals > 0 && removedThisCall >= stop.maxRemovals {
-			return runBudget, units
+			return stopBudget, units
 		}
 		if stop.maxUnits > 0 && units >= stop.maxUnits {
-			return runBudget, units
+			return stopBudget, units
 		}
 		p, key := e.heap.Pop()
 		e.iterations++
@@ -456,14 +487,14 @@ func (e *engine) run(stop stopConditions) (runStop, int) {
 			// Even the least-impact candidate violates the bound: stop
 			// (Alg. 1). Re-insert so a resumed run can reconsider it.
 			e.heap.Push(p, exact)
-			return runBound, units
+			return StopBound, units
 		}
 		e.remove(p, exact)
 		units += len(e.neigh)
 		alive--
 		removedThisCall++
 	}
-	return runDone, units
+	return StopDone, units
 }
 
 // remove commits the removal of p: updates aggregates, reconstruction
@@ -471,7 +502,7 @@ func (e *engine) run(stop stopConditions) (runStop, int) {
 func (e *engine) remove(p int32, exactDev float64) {
 	ctx := e.ctxs[0]
 	start, d := e.gapDeltas(p, ctx)
-	e.tracker.Commit(e.cur, start, d)
+	e.commit(p, start, d)
 	for i, dv := range d {
 		e.cur[start+i] += dv
 	}
@@ -522,10 +553,13 @@ func (e *engine) reHeap(p int32) {
 
 // impactInto fills keys[i] = impact(points[i]). Small batches run on the
 // calling goroutine; larger ones are chunked across the persistent eval
-// workers, with the caller working chunk 0 itself.
+// workers, with the caller working chunk 0 itself. A worker must get some 64
+// evaluations (10-30 us, most of them cached) to repay its wake-up: the
+// initial impacts and an explicit large or unbounded radius do, the default
+// radius's 8-point batches ran 1.4x slower dispatched than serial.
 func (e *engine) impactInto(points []int32, keys []float64) {
 	t := len(e.ctxs)
-	if t <= 1 || len(points) < 4*t {
+	if t <= 1 || len(points) < 64*t {
 		ctx := e.ctxs[0]
 		for i, p := range points {
 			keys[i] = e.impact(p, ctx, true)
@@ -579,8 +613,8 @@ func (e *engine) evalWorker(tasks <-chan parTask) {
 	}
 }
 
-// result snapshots the retained points.
-func (e *engine) result() *Result {
+// result snapshots the retained points of a run that ended for stop.
+func (e *engine) result(stop Stop) *Result {
 	pts := make([]series.Point, 0, e.n-e.removedCnt)
 	for i := 0; i < e.n; i++ {
 		if !e.removed[i] {
@@ -593,6 +627,7 @@ func (e *engine) result() *Result {
 		Deviation:  e.dev,
 		Removed:    e.removedCnt,
 		Iterations: e.iterations,
+		Stop:       stop,
 	}
 	for _, ctx := range e.ctxs {
 		res.Evals += ctx.evals

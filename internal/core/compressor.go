@@ -39,15 +39,9 @@ func (c *Compressor) Compress(xs []float64) (*Result, error) {
 		return nil, err
 	}
 	if c.eng == nil {
-		c.eng = newEngine(xs, c.opt)
-	} else {
-		c.eng.reset(xs, c.opt)
+		c.eng = &engine{}
 	}
-	c.eng.run(stopConditions{
-		epsilon:     c.opt.Epsilon,
-		targetRatio: c.opt.TargetRatio,
-	})
-	return c.eng.result(), nil
+	return c.eng.compress(xs, c.opt), nil
 }
 
 // Close stops the engine's eval workers. The Compressor may be reused

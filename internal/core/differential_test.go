@@ -72,7 +72,7 @@ func newRefEngine(xs []float64, opt Options) *refEngine {
 		featBuf: make([]float64, opt.Lags),
 	}
 	if e.hops == 0 {
-		e.hops = defaultBlockHops(n)
+		e.hops = defaultBlockHops(n, opt.NoRevalidate)
 	}
 	if opt.AggWindow >= 2 {
 		e.tracker = acf.NewWindowTracker(xs, opt.AggWindow, opt.AggFunc, opt.Lags)
@@ -175,6 +175,12 @@ func (e *refEngine) reHeap(p int32) {
 }
 
 func referenceCompress(xs []float64, opt Options) *Result {
+	if n := len(xs); opt.Epsilon > 0 && opt.TargetRatio == 0 && n > 2 {
+		ends := &series.Irregular{N: n, Points: []series.Point{{Index: 0, Value: xs[0]}, {Index: n - 1, Value: xs[n-1]}}}
+		if dev, _ := Deviation(xs, ends, opt); dev <= opt.Epsilon {
+			return &Result{Compressed: ends, Deviation: dev, Removed: n - 2, Stop: StopProbe}
+		}
+	}
 	e := newRefEngine(xs, opt)
 	e.run(opt.Epsilon, opt.TargetRatio)
 	pts := make([]series.Point, 0, e.n-e.removedCnt)
@@ -259,6 +265,7 @@ func TestOptimizedMatchesReference(t *testing.T) {
 	}{
 		{name: "acf-eps", opt: Options{Lags: 16, Epsilon: 0.02}},
 		{name: "acf-ratio", opt: Options{Lags: 16, TargetRatio: 6}},
+		{name: "acf-hops-60", opt: Options{Lags: 16, Epsilon: 0.02, BlockHops: 60}},
 		{name: "acf-subset", opt: Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{1, 12, 24}}},
 		{name: "acf-subset-unordered", opt: Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{24, 1, 12, 12}}},
 		{name: "pacf-eps", opt: Options{Lags: 10, Epsilon: 0.05, Statistic: StatPACF}},
@@ -308,7 +315,7 @@ func TestOptimizedMatchesReference(t *testing.T) {
 				}
 				want := referenceCompress(xs, cfg.opt)
 				requireSameResult(t, "Compress", got, want)
-				if armed && kind != "constant" && got.Removed > 0 && got.CachedEvals == 0 {
+				if armed && got.Stop != StopProbe && kind != "constant" && got.Removed > 0 && got.CachedEvals == 0 {
 					t.Fatalf("no evaluation of %d reused cached terms", got.Evals)
 				}
 			})
@@ -358,9 +365,9 @@ func TestReusedEnginesMatchReference(t *testing.T) {
 		got = se.Result()
 		requireSameResult(t, "StreamEngine", got, want)
 		// Units beyond the evaluations are the n samples fed to the
-		// aggregate builder.
-		if got.Evals != units-n {
-			t.Fatalf("block %d: %d impact evaluations, %d work units after the %d-sample build", i, got.Evals, units-n, n)
+		// aggregate builder and the n the two-point probe is charged.
+		if got.Evals != units-2*n {
+			t.Fatalf("block %d: %d impact evaluations, %d work units after the %d-sample build and probe", i, got.Evals, units-2*n, n)
 		}
 		if got.CachedEvals == 0 || got.CachedEvals >= got.Evals {
 			t.Fatalf("block %d: %d of %d evaluations cached", i, got.CachedEvals, got.Evals)
@@ -423,7 +430,7 @@ func TestTermCacheEntriesStayExact(t *testing.T) {
 					checked++
 				}
 				stop, _ := eng.run(stopConditions{epsilon: tc.opt.Epsilon, targetRatio: tc.opt.TargetRatio, maxRemovals: 1})
-				if stop != runBudget {
+				if stop != stopBudget {
 					break
 				}
 			}

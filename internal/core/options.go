@@ -66,8 +66,12 @@ type Options struct {
 
 	// BlockHops is the blocking neighbourhood size h (paper §4.3): after a
 	// removal only the h nearest alive neighbours on each side get their
-	// impact recomputed. 0 selects the default 5*ceil(log2 n); negative
-	// disables blocking (update every remaining point — "w/b" in Table 3).
+	// impact recomputed. 0 selects the default: 4, because every popped
+	// candidate is revalidated exactly and re-pushed when it is no longer
+	// the minimum (lazy greedy), which restores the greedy order whatever
+	// the radius left stale — or the paper's 5*ceil(log2 n) with
+	// NoRevalidate, whose stale keys are trusted. Negative disables
+	// blocking (update every remaining point — "w/b" in Table 3).
 	BlockHops int
 
 	// Threads enables fine-grained parallelization (paper §4.4): impact
@@ -128,9 +132,15 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// defaultBlockHops returns the default blocking neighbourhood 5*ceil(log2 n)
-// — the paper finds factors of log n between 5 and 15 near-optimal (§5.4).
-func defaultBlockHops(n int) int {
+// defaultBlockHops returns the default blocking neighbourhood. With pop
+// revalidation the radius only has to keep the keys near a removal fresh
+// enough that few pops are re-pushed: 4 a side, measured (ROADMAP
+// performance model). Trusting stale keys (noRevalidate) needs the paper's
+// 5*ceil(log2 n) — factors of log n between 5 and 15 are near-optimal (§5.4).
+func defaultBlockHops(n int, noRevalidate bool) int {
+	if !noRevalidate {
+		return 4
+	}
 	if n <= 2 {
 		return 1
 	}
@@ -139,6 +149,25 @@ func defaultBlockHops(n int) int {
 		h = 1
 	}
 	return h
+}
+
+// Stop says why a compression run ended.
+type Stop uint8
+
+// Stop reasons. Results merged from several runs (CompressCoarse,
+// StreamCompressor.Flush) carry StopNone.
+const (
+	StopNone   Stop = iota
+	StopDone        // heap exhausted: every interior point removed
+	StopBound       // least-impact candidate violates epsilon (terminal)
+	StopRatio       // target compression ratio reached (terminal)
+	StopProbe       // the two endpoints alone were within epsilon
+	stopBudget      // maxRemovals/maxUnits exhausted (resumable; never in a Result)
+)
+
+// String returns the reason's metric label.
+func (s Stop) String() string {
+	return [...]string{"none", "done", "bound", "ratio", "probe", "budget"}[s]
 }
 
 // Result reports the outcome of a compression run.
@@ -151,6 +180,8 @@ type Result struct {
 	Removed int
 	// Iterations counts heap pops (including revalidation re-pushes).
 	Iterations int
+	// Stop is why the run ended.
+	Stop Stop
 	// Evals counts impact evaluations: one per interior point for the
 	// initial heap, one per pop, one per neighbour re-evaluated after a
 	// removal — the work units StreamEngine.Advance budgets.

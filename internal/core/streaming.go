@@ -20,9 +20,9 @@ import (
 // encoded block is byte-identical to the batch encoder's.
 //
 // One work unit is one impact evaluation (or one sample fed to the
-// incremental aggregate builder / initial-impact pass), the dominant cost
-// of the algorithm; callers pace ingest by granting unit budgets sized to
-// their latency target.
+// incremental aggregate builder / initial-impact pass / two-point probe),
+// the dominant cost of the algorithm; callers pace ingest by granting unit
+// budgets sized to their latency target.
 //
 // A StreamEngine is reusable across blocks (Begin re-arms it) and is NOT
 // safe for concurrent use. Close releases the persistent eval workers when
@@ -44,6 +44,7 @@ const (
 	streamIdle    streamPhase = iota
 	streamAggs                // feeding the incremental aggregate builder
 	streamTracker             // one-step tracker build (shapes the builder can't serve)
+	streamProbe               // one-step two-point probe (engine.probe)
 	streamImpacts             // chunked Alg. 2 initial impacts
 	streamRun                 // budgeted Alg. 1 removal loop
 	streamDone
@@ -122,12 +123,22 @@ func (s *StreamEngine) Advance(budget int) (used int, done bool) {
 					// FFT-worthy shape: match the batch extractor.
 					e.installTracker(e.buildTracker(e.orig))
 				}
-				s.phase = streamImpacts
+				s.phase = streamProbe
 			}
 		case streamTracker:
 			e.installTracker(e.buildTracker(e.orig))
 			used += e.n // one unsliced step; charge its O(n*L) cost coarsely
+			s.phase = streamProbe
+		case streamProbe:
 			s.phase = streamImpacts
+			if e.probes() {
+				used += e.n // one unsliced step, as above
+				if e.probe() {
+					s.res = e.result(StopProbe)
+					s.phase = streamDone
+					return used, true
+				}
+			}
 		case streamImpacts:
 			k := min(budget-used, len(e.points)-s.built)
 			e.initImpacts(s.built, s.built+k)
@@ -144,10 +155,10 @@ func (s *StreamEngine) Advance(budget int) (used int, done bool) {
 				maxUnits:    budget - used,
 			})
 			used += u
-			if reason == runBudget {
+			if reason == stopBudget {
 				return used, false
 			}
-			s.res = e.result()
+			s.res = e.result(reason)
 			s.phase = streamDone
 			return used, true
 		case streamDone:

@@ -91,6 +91,23 @@ func (e *engine) invalidate(p, l, r int32) {
 	}
 }
 
+// commit applies the removal of p (deltas d at start) to the tracker. run has
+// just evaluated p, so on an interior gap its terms sit in the cache: for such
+// a change Aggregates.Apply's five per-lag deltas are exactly (ds, ds,
+// dsxx[i], dsq2, dsq2), and the commit is O(P) instead of Apply's O(P*m).
+// Boundary gaps, window trackers, a disabled cache and evaluations that
+// skipped the fill take tracker.Commit. Must run before invalidate drops p.
+func (e *engine) commit(p int32, start int, d []float64) {
+	c := &e.cache
+	if c.slots > 0 {
+		if s := int(p) % c.slots; c.tag[s] == p {
+			c.direct.ApplyTerms(c.ds[s], c.dsq2[s], c.rows[s*c.p:(s+1)*c.p])
+			return
+		}
+	}
+	e.tracker.Commit(e.cur, start, d)
+}
+
 // hypothetical returns the tracker's ACF vector after the removal of p,
 // through p's cached terms when they are valid. A miss on an interior gap
 // (the only kind the split kernel covers) computes and keeps them when fill

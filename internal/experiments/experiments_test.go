@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // quickConfig keeps every runner fast enough for CI.
@@ -60,6 +63,49 @@ func TestAllRunnersQuick(t *testing.T) {
 				t.Fatalf("%s output too small (%d lines):\n%s", id, lines, out)
 			}
 		})
+	}
+}
+
+// TestDefaultRadiusKeepsTheRatio is the regression pin behind BlockHops: 0:
+// at the eps stop of the blocking sweep, the default refresh radius must
+// compress within 5% of the paper's 5 log n (geometric mean of the
+// compression ratios over the datasets, the benchmark's own average; a
+// single small replica moves by a retained point or two either way) while
+// evaluating several times fewer impacts.
+func TestDefaultRadiusKeepsTheRatio(t *testing.T) {
+	var buf bytes.Buffer
+	rows, err := BlockingSweep(quickConfig(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paperRow := func(dataset string) *core.Result {
+		for _, r := range rows {
+			if r.Dataset == dataset && r.Stop == "eps" && r.Hops == hopsPaper {
+				return r.Result
+			}
+		}
+		t.Fatalf("sweep has no %s row for %s", hopsPaper, dataset)
+		return nil
+	}
+	logRatio, evalsDefault, evalsPaper, datasets := 0.0, 0, 0, 0
+	for _, r := range rows {
+		if r.Stop != "eps" || r.Hops != hopsDefault {
+			continue
+		}
+		def, paper := r.Result, paperRow(r.Dataset)
+		logRatio += math.Log(def.CompressionRatio() / paper.CompressionRatio())
+		evalsDefault += def.Evals
+		evalsPaper += paper.Evals
+		datasets++
+	}
+	if datasets == 0 {
+		t.Fatal("sweep has no default row")
+	}
+	if rel := math.Exp(logRatio / float64(datasets)); rel < 0.95 {
+		t.Errorf("default radius compresses to %.3f of the 5 log n ratio, want >= 0.95", rel)
+	}
+	if 3*evalsDefault > evalsPaper {
+		t.Errorf("default radius evaluated %d impacts, 5 log n %d: want under a third", evalsDefault, evalsPaper)
 	}
 }
 

@@ -20,14 +20,85 @@ func tab3Eps(spec datasets.Spec) float64 {
 	return 0.01
 }
 
+// Names of the two blocking-sweep rows the default radius is judged by.
+const (
+	hopsDefault = "h=4 (default)" // BlockHops: 0
+	hopsPaper   = "h=5log n"      // the paper's §5.4 choice, the default before PR 14
+)
+
+// BlockingRow is one CAMEO run of the blocking sweep: a dataset compressed
+// at one refresh radius until Stop ("eps": the deviation bound alone; "CR
+// 10": Table 3's ratio cap as well).
+type BlockingRow struct {
+	Dataset, Stop, Hops string
+	N                   int
+	Seconds             float64
+	Result              *core.Result // nil: skipped (unblocked, n > 12000)
+}
+
+// BlockingSweep runs CAMEO over every dataset at blocking sizes 1, the
+// default, log n ... 10 log n and without blocking, to both stops. It is the
+// measurement behind the default radius: at the eps stop the rows differ in
+// retained points (the ratio a smaller radius costs), in evaluations per
+// sample and in pops per removal (what it saves and what it shifts onto pop
+// revalidation); at the ratio stop only in time.
+func BlockingSweep(cfg Config) ([]BlockingRow, error) {
+	cfg = cfg.withDefaults()
+	var rows []BlockingRow
+	for _, spec := range allSpecs(cfg) {
+		xs := genData(spec, cfg)
+		logn := int(math.Ceil(math.Log2(float64(len(xs)))))
+		type hop struct {
+			name string
+			h    int
+		}
+		hops := []hop{
+			{"h=1", 1}, {hopsDefault, 0}, {"h=log n", logn}, {"h=3log n", 3 * logn}, {hopsPaper, 5 * logn},
+			{"h=7log n", 7 * logn}, {"h=10log n", 10 * logn}, {"w/b", -1},
+		}
+		if cfg.Quick {
+			hops = []hop{{"h=1", 1}, {hopsDefault, 0}, {"h=log n", logn}, {hopsPaper, 5 * logn}, {"w/b", -1}}
+		}
+		for _, stop := range []string{"CR 10", "eps"} {
+			for _, hc := range hops {
+				r := BlockingRow{Dataset: spec.Name, Stop: stop, Hops: hc.name, N: len(xs)}
+				// The paper itself finds unblocked CAMEO "infeasible for
+				// real-life applications" (Table 3 w/b column, hours on the
+				// large datasets); cap it to keep the harness usable.
+				if hc.h >= 0 || len(xs) <= 12000 {
+					opt := coreOptions(spec, tab3Eps(spec))
+					opt.BlockHops = hc.h
+					if stop == "CR 10" {
+						opt.TargetRatio = 10
+					}
+					start := time.Now()
+					res, err := core.Compress(xs, opt)
+					if err != nil {
+						return nil, err
+					}
+					r.Seconds, r.Result = time.Since(start).Seconds(), res
+				}
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows, nil
+}
+
 // Table3 regenerates Table 3: single-threaded compression times of every
 // baseline and of CAMEO at blocking sizes 1, log n ... 10 log n and without
-// blocking, with the compression ratio capped at 10.
+// blocking, with the compression ratio capped at 10; then the whole
+// BlockingSweep with what each radius retains and how much work it does.
 // Expected shape: PMC/FFT fastest; CAMEO at 1 hop comparable to the other
 // line simplifiers; time grows ~linearly with hops; no blocking ("w/b") is
-// orders of magnitude slower.
+// orders of magnitude slower; at the eps stop every radius retains within a
+// few percent of the others (pop revalidation restores the greedy order).
 func Table3(cfg Config) error {
 	cfg = cfg.withDefaults()
+	sweep, err := BlockingSweep(cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(cfg.Out, "## Table 3 — Compression times (seconds), CR capped at 10")
 	tw := newTable(cfg.Out, "dataset", "method", "seconds")
 	for _, spec := range allSpecs(cfg) {
@@ -58,41 +129,26 @@ func Table3(cfg Config) error {
 		}
 		row(tw, spec.Name, "VW", time.Since(start).Seconds())
 
-		logn := int(math.Ceil(math.Log2(float64(len(xs)))))
-		hops := []struct {
-			name string
-			h    int
-		}{
-			{"CAMEO h=1", 1},
-			{"CAMEO h=log n", logn},
-			{"CAMEO h=3log n", 3 * logn},
-			{"CAMEO h=5log n", 5 * logn},
-			{"CAMEO h=7log n", 7 * logn},
-			{"CAMEO h=10log n", 10 * logn},
-			{"CAMEO w/b", -1},
-		}
-		if cfg.Quick {
-			hops = []struct {
-				name string
-				h    int
-			}{{"CAMEO h=1", 1}, {"CAMEO h=log n", logn}, {"CAMEO w/b", -1}}
-		}
-		for _, hc := range hops {
-			if hc.h < 0 && len(xs) > 12000 {
-				// The paper itself finds unblocked CAMEO "infeasible for
-				// real-life applications" (Table 3 w/b column, hours on the
-				// large datasets); cap it to keep the harness usable.
-				row(tw, spec.Name, hc.name, "skipped (n > 12000)")
-				continue
+		for _, r := range sweep {
+			switch {
+			case r.Dataset != spec.Name || r.Stop != "CR 10":
+			case r.Result == nil:
+				row(tw, spec.Name, "CAMEO "+r.Hops, "skipped (n > 12000)")
+			default:
+				row(tw, spec.Name, "CAMEO "+r.Hops, r.Seconds)
 			}
-			opt := coreOptions(spec, eps)
-			opt.TargetRatio = 10
-			opt.BlockHops = hc.h
-			start := time.Now()
-			if _, err := core.Compress(xs, opt); err != nil {
-				return err
-			}
-			row(tw, spec.Name, hc.name, time.Since(start).Seconds())
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+
+	fmt.Fprintln(cfg.Out, "\n## Table 3 (blocking sweep) — what each refresh radius retains and costs")
+	tw = newTable(cfg.Out, "dataset", "n", "stop", "hops", "seconds", "retained", "deviation", "evals/sample", "pops/removal")
+	for _, r := range sweep {
+		if res := r.Result; res != nil {
+			row(tw, r.Dataset, r.N, r.Stop, r.Hops, r.Seconds, len(res.Compressed.Points), res.Deviation,
+				float64(res.Evals)/float64(r.N), float64(res.Iterations)/float64(max(res.Removed, 1)))
 		}
 	}
 	return tw.Flush()

@@ -82,6 +82,21 @@ func TestStatuszMatchesMetrics(t *testing.T) {
 				family, snap.num(t, family), expo)
 		}
 	}
+	// The compression core's families: the preload wrote one block, which
+	// sensor noise stops at the bound after some pops.
+	if n := snap.labeled(t, "cameo_core_blocks_total", `stop="bound"`); n != 1 {
+		t.Fatalf("statusz counts %v blocks stopped at the bound, want 1", n)
+	}
+	for _, stop := range []string{"done", "bound", "ratio", "probe"} {
+		labels := fmt.Sprintf("stop=%q", stop)
+		want := fmt.Sprintf("cameo_core_blocks_total{%s} %v\n", labels, snap.labeled(t, "cameo_core_blocks_total", labels))
+		if !strings.Contains(expo, want) {
+			t.Fatalf("statusz and /metrics disagree on cameo_core_blocks_total{%s}:\n%s", labels, expo)
+		}
+	}
+	if pops := snap.num(t, "cameo_core_pops_total"); pops == 0 || !strings.Contains(expo, fmt.Sprintf("cameo_core_pops_total %v\n", pops)) {
+		t.Fatalf("statusz counts %v pops, exposition:\n%s", pops, expo)
+	}
 }
 
 func readAll(t *testing.T, resp *http.Response) string {

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -49,6 +50,12 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 			full, cached := c.EvalTotals()
 			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "full"), full)
 			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "cached"), cached)
+			const blocksHelp = "CAMEO blocks written, by why the run ended: every interior point removed (done), the deviation bound (bound), the target ratio (ratio), or the two endpoints alone within the bound (probe)."
+			pops, blocks := c.RunTotals()
+			for stop := core.StopDone; stop <= core.StopProbe; stop++ {
+				e.CounterL("cameo_core_blocks_total", blocksHelp, metrics.Labels("stop", stop.String()), blocks[stop])
+			}
+			e.Counter("cameo_core_pops_total", "Heap pops (candidate revalidations) behind the CAMEO blocks written.", pops)
 		}
 
 		e.Histogram("cameo_store_append_latency_seconds",

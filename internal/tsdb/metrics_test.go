@@ -126,11 +126,11 @@ func TestRegisterMetricsCoversStats(t *testing.T) {
 	}
 }
 
-// TestCoreEvalsMetric pins cameo_core_evals_total: a CAMEO store exports
-// the impact evaluations behind its blocks split by path, the streaming
-// write mode (which slices the batch algorithm's exact work) counts the same
-// totals as the batch one, and a store under another codec has no such
-// family to export.
+// TestCoreEvalsMetric pins the cameo_core_* families: a CAMEO store exports
+// the impact evaluations behind its blocks split by path, the blocks by why
+// their run ended and the heap pops; the streaming write mode (which slices
+// the batch algorithm's exact work) counts the same totals as the batch one,
+// and a store under another codec has no such families to export.
 func TestCoreEvalsMetric(t *testing.T) {
 	scrape := func(opt Options) string {
 		t.Helper()
@@ -153,21 +153,31 @@ func TestCoreEvalsMetric(t *testing.T) {
 		}
 		var lines []string
 		for _, l := range strings.Split(sb.String(), "\n") {
-			if strings.HasPrefix(l, "cameo_core_evals_total{") {
+			if strings.HasPrefix(l, "cameo_core_") {
 				lines = append(lines, l)
 			}
 		}
 		return strings.Join(lines, "\n")
 	}
 	batch := scrape(dbOptions())
-	var full, cached uint64
-	if _, err := fmt.Sscanf(batch, "cameo_core_evals_total{path=\"full\"} %d\ncameo_core_evals_total{path=\"cached\"} %d", &full, &cached); err != nil {
+	var full, cached, done, bound, ratio, probe, pops uint64
+	if _, err := fmt.Sscanf(batch, `cameo_core_evals_total{path="full"} %d
+cameo_core_evals_total{path="cached"} %d
+cameo_core_blocks_total{stop="done"} %d
+cameo_core_blocks_total{stop="bound"} %d
+cameo_core_blocks_total{stop="ratio"} %d
+cameo_core_blocks_total{stop="probe"} %d
+cameo_core_pops_total %d`, &full, &cached, &done, &bound, &ratio, &probe, &pops); err != nil {
 		t.Fatalf("unexpected exposition %q: %v", batch, err)
 	}
 	// Three 512-sample blocks: at least the 510 initial impacts each in
 	// full, and the heap loop's far neighbours from the cache.
 	if full < 3*510 || cached == 0 {
 		t.Fatalf("full=%d cached=%d after three blocks", full, cached)
+	}
+	// Noisy sensor data stops at the bound, after at least one pop a block.
+	if bound != 3 || done+ratio+probe != 0 || pops < 3 {
+		t.Fatalf("blocks done/bound/ratio/probe = %d/%d/%d/%d, pops = %d after three blocks", done, bound, ratio, probe, pops)
 	}
 	streaming := dbOptions()
 	streaming.Streaming = true

@@ -57,12 +57,15 @@ const (
 	// paceHeadroom makes the paced schedule run 25% ahead of arrival, so a
 	// block normally finishes before the next cut instead of exactly at it.
 	paceHeadroom = 1.25
-	// initUnitsPerPoint seeds pacing before the first block calibrates it.
-	// An overestimate merely front-loads work (still latency-capped).
-	initUnitsPerPoint = 128
-	// initNsPerUnit seeds the per-unit wall-cost estimate (one CAMEO
-	// impact evaluation at default options is a few hundred ns).
-	initNsPerUnit = 300
+	// initUnitsPerPoint seeds pacing before the first block calibrates it:
+	// a CAMEO block at the store's default shape costs 16-34 units a sample
+	// (one each for the aggregates, the probe and the initial impacts, the
+	// rest in the removal loop). An overestimate merely front-loads work
+	// (still latency-capped); with paceHeadroom this covers the costliest.
+	initUnitsPerPoint = 32
+	// initNsPerUnit seeds the per-unit wall-cost estimate (a block's units
+	// average 340-450 ns at default options).
+	initNsPerUnit = 400
 	// maxStepUnits bounds one uninterrupted Advance slice so the latency
 	// deadline is re-checked at fine granularity.
 	maxStepUnits = 512
@@ -203,7 +206,12 @@ func (db *DB) sealStream(sh *shard, name string, st *seriesState) {
 	pb := ss.pb
 	n := len(pb.raw)
 	if n > 0 && ss.blockUnits > 0 {
-		ss.unitsPerPoint = 0.5*ss.unitsPerPoint + 0.5*float64(ss.blockUnits)/float64(n)
+		// Rise at once, fall by an eighth a block: a block the codec
+		// finished in set-up (CAMEO's two-point probe: 2 units a sample)
+		// must not halve the budget of the full-cost block that may follow,
+		// whose shortfall would land on one append as a forced finish.
+		obs := float64(ss.blockUnits) / float64(n)
+		ss.unitsPerPoint = max(obs, 0.875*ss.unitsPerPoint+0.125*obs)
 	}
 	data, hdrOff, recon, err := codec.EncodeStreamBlock(db.opt.Codec, ss.bs, n)
 	ss.pb = nil

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/series"
 )
 
@@ -355,5 +356,71 @@ func TestStreamingIngestSoak(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamingPacingSeed pins the pacing seeds to what a block costs. The
+// latency cap is lifted so the unit budget alone paces (unit counts repeat
+// exactly): from a fresh series' first block on, every block must finish
+// within the appends that fill the next one — no forced finish — on the
+// cheapest and the costliest replica at the store's default shape and on one
+// whose blocks alternate between full cost and the two-point probe's 2 units
+// a sample; and the seed must lie within 2x of the costliest block measured.
+func TestStreamingPacingSeed(t *testing.T) {
+	const blockSize, blocks, batch = 4096, 5, 128
+	opt := Options{
+		Compression:      core.Options{Lags: 24, Epsilon: 0.01},
+		BlockSize:        blockSize,
+		Streaming:        true,
+		MaxAppendLatency: time.Minute,
+	}
+	for _, name := range []string{"ElecPower", "MinTemp", "Humidity"} {
+		sp, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Enough samples past the last cut for its paced finish, not for
+		// another cut.
+		xs := sp.GenerateN((blocks+1)*blockSize-batch, 6)
+
+		bs, err := codec.NewCAMEO(opt.Compression).NewBlockStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst, probed := 0.0, 0
+		for b := 0; b < blocks; b++ {
+			if err := bs.Begin(xs[b*blockSize : (b+1)*blockSize]); err != nil {
+				t.Fatal(err)
+			}
+			units, _ := bs.Advance(1 << 30)
+			if units == 2*blockSize {
+				probed++
+			}
+			worst = max(worst, float64(units)/blockSize)
+		}
+		bs.Close()
+		if name == "Humidity" && (probed == 0 || probed == blocks) {
+			t.Fatalf("%s: %d of %d blocks probed, want a mix", name, probed, blocks)
+		}
+		if initUnitsPerPoint > 2*worst || worst > 2*initUnitsPerPoint {
+			t.Errorf("%s: seed %d units a sample, costliest block %.1f", name, initUnitsPerPoint, worst)
+		}
+
+		db, err := Open(t.TempDir(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < len(xs); j += batch {
+			if err := db.Append("s", xs[j:j+batch]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := db.Stats()
+		if st.StreamForced != 0 || st.StreamBlocks != blocks {
+			t.Errorf("%s: %d blocks streamed, %d forced; want %d and 0", name, st.StreamBlocks, st.StreamForced, blocks)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
