@@ -84,12 +84,23 @@ func FuzzDecodeBlock(f *testing.F) {
 
 // FuzzCodecDecodersDirect drives every registered codec's Decode with
 // arbitrary payloads and sample counts: malformed input must error, never
-// panic or over-allocate into an OOM.
+// panic or over-allocate into an OOM. The corpus starts from one valid
+// payload per registered codec.
 func FuzzCodecDecodersDirect(f *testing.F) {
-	for _, c := range []Codec{Gorilla{}, PMC{}, Swing{}} {
-		if payload, err := c.Encode(seedSeries()); err == nil {
-			f.Add(payload, uint16(len(seedSeries())), c.ID())
+	xs := seedSeries()
+	for _, c := range Registered() {
+		enc := c
+		if c.ID() == IDCAMEO {
+			enc = NewCAMEO(testOptions()) // the registered instance decodes but cannot encode
 		}
+		payload, err := enc.Encode(xs)
+		if err != nil {
+			f.Fatalf("%s: encoding the seed: %v", c.Name(), err)
+		}
+		if _, err := c.Decode(payload, len(xs)); err != nil {
+			f.Fatalf("%s: decoding the seed: %v", c.Name(), err)
+		}
+		f.Add(payload, uint16(len(xs)), c.ID())
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, n uint16, id uint8) {
 		c, err := ByID(id)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/lossless"
 )
 
 // Binary encoding of an Irregular series: a practical storage format that
@@ -39,44 +41,44 @@ func (ir *Irregular) Encode() []byte {
 	return buf
 }
 
-// encodeValues XOR-compresses the point values (Gorilla scheme, inlined to
-// keep package series dependency-free).
+// encodeValues XOR-compresses the point values (the Gorilla scheme, over
+// the bit stream package lossless shares with its XOR codecs).
 func encodeValues(pts []Point) []byte {
-	w := bitAppender{}
+	w := lossless.NewBitWriter()
 	var prev uint64
 	prevLead, prevTrail := -1, -1
 	for i, p := range pts {
 		cur := math.Float64bits(p.Value)
 		if i == 0 {
-			w.bits(cur, 64)
+			w.WriteBits(cur, 64)
 			prev = cur
 			continue
 		}
 		xor := prev ^ cur
 		prev = cur
 		if xor == 0 {
-			w.bit(0)
+			w.WriteBit(0)
 			continue
 		}
-		w.bit(1)
+		w.WriteBit(1)
 		lead := bits.LeadingZeros64(xor)
 		trail := bits.TrailingZeros64(xor)
 		if lead > 31 {
 			lead = 31
 		}
 		if prevLead >= 0 && lead >= prevLead && trail >= prevTrail {
-			w.bit(0)
-			w.bits(xor>>uint(prevTrail), uint(64-prevLead-prevTrail))
+			w.WriteBit(0)
+			w.WriteBits(xor>>uint(prevTrail), uint(64-prevLead-prevTrail))
 		} else {
-			w.bit(1)
+			w.WriteBit(1)
 			sig := 64 - lead - trail
-			w.bits(uint64(lead), 5)
-			w.bits(uint64(sig-1), 6)
-			w.bits(xor>>uint(trail), uint(sig))
+			w.WriteBits(uint64(lead), 5)
+			w.WriteBits(uint64(sig-1), 6)
+			w.WriteBits(xor>>uint(trail), uint(sig))
 			prevLead, prevTrail = lead, trail
 		}
 	}
-	return w.bytes()
+	return w.Bytes()
 }
 
 // HeaderLen is the maximum encoded header size: the magic plus two
@@ -118,7 +120,8 @@ func DecodeHeader(data []byte) (int, error) {
 	return int(n), nil
 }
 
-// DecodeIrregular parses bytes produced by Encode.
+// DecodeIrregular parses bytes produced by Encode. Indices and values are
+// decoded straight into the one point slice the result holds.
 func DecodeIrregular(data []byte) (*Irregular, error) {
 	n, cnt, rest, err := decodeHeader(data)
 	if err != nil {
@@ -126,151 +129,89 @@ func DecodeIrregular(data []byte) (*Irregular, error) {
 	}
 	// Every point costs at least one index-delta byte, so a count beyond
 	// the remaining payload is structurally impossible. Rejecting it here
-	// bounds every allocation below by the input size — a hostile header
+	// bounds the allocation below by the input size — a hostile header
 	// in a tiny buffer cannot provoke a giant allocation.
 	if cnt > uint64(len(rest)) {
 		return nil, fmt.Errorf("series: point count %d exceeds payload (%d bytes): %w", cnt, len(rest), ErrBadEncoding)
 	}
-	indices := make([]int, cnt)
+	pts := make([]Point, cnt)
 	prev := -1
-	for i := range indices {
+	for i := range pts {
 		d, k := binary.Uvarint(rest)
 		if k <= 0 {
 			return nil, ErrBadEncoding
 		}
 		rest = rest[k:]
 		prev += int(d)
-		indices[i] = prev
+		pts[i].Index = prev
 	}
-	values, err := decodeValues(rest, int(cnt))
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Point, cnt)
-	for i := range pts {
-		pts[i] = Point{Index: indices[i], Value: values[i]}
+	if decodeValues(rest, pts) != nil {
+		return nil, ErrBadEncoding
 	}
 	return NewIrregular(int(n), pts)
 }
 
-// decodeValues reverses encodeValues.
-func decodeValues(data []byte, cnt int) ([]float64, error) {
-	r := bitTaker{data: data, left: 8}
-	out := make([]float64, 0, cnt)
+// decodeValues reverses encodeValues, filling in each point's Value. Any
+// error means the stream is malformed; the caller reports ErrBadEncoding.
+func decodeValues(data []byte, pts []Point) error {
+	r := lossless.NewBitReader(data)
 	var prev uint64
 	prevLead, prevTrail := -1, -1
-	for i := 0; i < cnt; i++ {
+	for i := range pts {
 		if i == 0 {
-			v, err := r.bits(64)
+			v, err := r.ReadBits(64)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			prev = v
-			out = append(out, math.Float64frombits(v))
+			pts[i].Value = math.Float64frombits(v)
 			continue
 		}
-		b, err := r.bits(1)
+		b, err := r.ReadBit()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if b == 0 {
-			out = append(out, math.Float64frombits(prev))
+			pts[i].Value = math.Float64frombits(prev)
 			continue
 		}
-		ctl, err := r.bits(1)
+		ctl, err := r.ReadBit()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var xor uint64
 		if ctl == 0 {
 			if prevLead < 0 {
-				return nil, ErrBadEncoding
+				return ErrBadEncoding
 			}
-			v, err := r.bits(uint(64 - prevLead - prevTrail))
+			v, err := r.ReadBits(uint(64 - prevLead - prevTrail))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			xor = v << uint(prevTrail)
 		} else {
-			lead, err := r.bits(5)
+			lead, err := r.ReadBits(5)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			sigM1, err := r.bits(6)
+			sigM1, err := r.ReadBits(6)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sig := int(sigM1) + 1
 			trail := 64 - int(lead) - sig
 			if trail < 0 {
-				return nil, ErrBadEncoding
+				return ErrBadEncoding
 			}
-			v, err := r.bits(uint(sig))
+			v, err := r.ReadBits(uint(sig))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			xor = v << uint(trail)
 			prevLead, prevTrail = int(lead), trail
 		}
 		prev ^= xor
-		out = append(out, math.Float64frombits(prev))
+		pts[i].Value = math.Float64frombits(prev)
 	}
-	return out, nil
-}
-
-// bitAppender is a minimal MSB-first bit writer.
-type bitAppender struct {
-	buf  []byte
-	cur  byte
-	free uint
-}
-
-func (w *bitAppender) bit(b uint64) {
-	if w.free == 0 {
-		w.free = 8
-	}
-	w.cur = w.cur<<1 | byte(b&1)
-	w.free--
-	if w.free == 0 {
-		w.buf = append(w.buf, w.cur)
-		w.cur = 0
-		w.free = 8
-	}
-}
-
-func (w *bitAppender) bits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.bit(v >> uint(i))
-	}
-}
-
-func (w *bitAppender) bytes() []byte {
-	out := w.buf
-	if w.free > 0 && w.free < 8 {
-		out = append(out, w.cur<<w.free)
-	}
-	return out
-}
-
-// bitTaker is the matching MSB-first bit reader.
-type bitTaker struct {
-	data []byte
-	pos  int
-	left uint
-}
-
-func (r *bitTaker) bits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		if r.pos >= len(r.data) {
-			return 0, ErrBadEncoding
-		}
-		r.left--
-		v = v<<1 | uint64(r.data[r.pos]>>r.left)&1
-		if r.left == 0 {
-			r.pos++
-			r.left = 8
-		}
-	}
-	return v, nil
+	return nil
 }

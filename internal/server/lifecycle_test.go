@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,7 +178,7 @@ func TestQueryStreamStartsAtTrimBase(t *testing.T) {
 // query_aborted rather than vanish without an operator-visible trace.
 func TestQueryAbortedCounter(t *testing.T) {
 	// Enough samples that the NDJSON body (~19 bytes/sample) dwarfs the
-	// 32 KiB handler buffer plus kernel TCP buffers, so the handler is
+	// response buffers of net/http and the kernel, so the handler is
 	// still writing when the client hangs up.
 	_, srv := newTestServer(t, nil, Options{}, map[string][]float64{
 		"s": sensorData(1<<18, 3),
@@ -213,5 +215,34 @@ func TestQueryAbortedCounter(t *testing.T) {
 	}
 	if got := parseNDJSON(t, body, 0); len(got) != 512 {
 		t.Fatalf("follow-up query returned %d samples, want 512", len(got))
+	}
+}
+
+// goneClient is a ResponseWriter whose client has hung up: every body
+// write fails.
+type goneClient struct{ header http.Header }
+
+func (w *goneClient) Header() http.Header       { return w.header }
+func (w *goneClient) WriteHeader(int)           {}
+func (w *goneClient) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestQueryAbortCountedOnWriteFailure drives every query handler — raw,
+// aggregate, and both batch forms — against a writer that always fails:
+// each request must count exactly one abort.
+func TestQueryAbortCountedOnWriteFailure(t *testing.T) {
+	db, _ := newTestServer(t, nil, Options{}, map[string][]float64{"s": sensorData(2048, 4)})
+	s := NewHandler(db, Options{}).(*Server)
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodGet, "/api/v1/query?series=s&from=0&to=1024", ""},
+		{http.MethodGet, "/api/v1/query?series=s&from=0&to=1024&format=csv", ""},
+		{http.MethodGet, "/api/v1/query_agg?series=s&from=0&to=1024&step=64", ""},
+		{http.MethodPost, "/api/v1/query", `{"series":["s","s"],"from":0,"to":1024}`},
+		{http.MethodPost, "/api/v1/query_agg", `{"series":["s","s"],"step":64}`},
+	} {
+		before := s.queryAborted.Load()
+		s.ServeHTTP(&goneClient{header: http.Header{}}, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+		if got := s.queryAborted.Load() - before; got != 1 {
+			t.Errorf("%s %s: %d aborts counted, want 1", tc.method, tc.target, got)
+		}
 	}
 }

@@ -136,7 +136,7 @@ func (s *Server) registerServerMetrics(reg *metrics.Registry) {
 		e.Counter("cameo_http_throttled_writes_total",
 			"Writes refused with 429 by the in-flight ingest cap.", s.throttled.Load())
 		e.Counter("cameo_http_query_aborted_total",
-			"Streaming queries cut short by a client write failure.", s.queryAborted.Load())
+			"Query responses (raw, aggregate and batch) cut short by a client write failure.", s.queryAborted.Load())
 		e.Counter("cameo_http_series_deletes_total",
 			"Series dropped via DELETE /api/v1/series.", s.seriesDeletes.Load())
 		e.Gauge("cameo_http_inflight_ingest_bytes",

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,7 +89,6 @@ func (s *Server) handleQueryMulti(w http.ResponseWriter, r *http.Request) {
 	defer m.Close()
 	st.stop()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriterSize(w, 32<<10)
 	flusher, _ := w.(http.Flusher)
 	lineBuf := encodeBufs.Get().(*[]byte)
 	line := (*lineBuf)[:0]
@@ -120,17 +118,13 @@ func (s *Server) handleQueryMulti(w http.ResponseWriter, r *http.Request) {
 				line = appendJSONFloat(line, v)
 			}
 			line = append(line, "]}\n"...)
-			if _, err := bw.Write(line); err != nil {
+			// Hand the chunk on before gathering the next, like the
+			// single-series stream: decoded bytes never wait on storage.
+			if _, err := w.Write(line); err != nil {
 				s.queryAborted.Add(1)
 				return
 			}
 			pos += len(chunk)
-			// Hand the chunk on before gathering the next, like the
-			// single-series stream: decoded bytes never wait on storage.
-			if bw.Flush() != nil {
-				s.queryAborted.Add(1)
-				return
-			}
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -155,14 +149,11 @@ func (s *Server) handleQueryMulti(w http.ResponseWriter, r *http.Request) {
 			line = append(line, '\n')
 		}
 		if len(line) > 0 {
-			if _, err := bw.Write(line); err != nil {
+			if _, err := w.Write(line); err != nil {
 				s.queryAborted.Add(1)
 				return
 			}
 		}
-	}
-	if bw.Flush() != nil {
-		s.queryAborted.Add(1)
 	}
 }
 
@@ -199,7 +190,6 @@ func (s *Server) handleQueryAggMulti(w http.ResponseWriter, r *http.Request) {
 	}
 	st.stop()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriterSize(w, 32<<10)
 	lineBuf := encodeBufs.Get().(*[]byte)
 	line := (*lineBuf)[:0]
 	defer func() { *lineBuf = line[:0]; encodeBufs.Put(lineBuf) }()
@@ -227,12 +217,9 @@ func (s *Server) handleQueryAggMulti(w http.ResponseWriter, r *http.Request) {
 			}
 			line = append(line, "]}\n"...)
 		}
-		if _, err := bw.Write(line); err != nil {
+		if _, err := w.Write(line); err != nil {
 			s.queryAborted.Add(1)
 			return
 		}
-	}
-	if bw.Flush() != nil {
-		s.queryAborted.Add(1)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -93,8 +92,8 @@ func appendJSONFloat(b []byte, v float64) []byte {
 }
 
 // handleQuery streams the raw reconstruction of one range straight off a
-// store cursor: each cursor chunk (at most one block) is encoded and
-// flushed before the next is resolved, so the response is O(chunk) in
+// store cursor: each cursor chunk (at most one block) is encoded, written
+// and flushed before the next is resolved, so the response is O(chunk) in
 // server memory regardless of the range length, and cache-resident blocks
 // stream without being copied at all.
 //
@@ -139,20 +138,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	bw := bufio.NewWriterSize(w, 32<<10)
 	flusher, _ := w.(http.Flusher)
 	// Absolute index of the next sample the cursor yields. Cursor.Start,
 	// not the request's from: the store clamps the range to the retained
 	// suffix (negative from, or history below a retention trim base), and
 	// chunk start indices must label the samples actually returned.
 	pos := cur.Start()
-	flushed := false // whether any bytes (and so the 200 status) reached the client
+	wrote := false // whether any bytes (and so the 200 status) went to the client
 	lineBuf := encodeBufs.Get().(*[]byte)
 	line := (*lineBuf)[:0]
 	defer func() { *lineBuf = line[:0]; encodeBufs.Put(lineBuf) }()
-	if format == "csv" {
-		bw.WriteString("index,value\n")
-	}
 	for {
 		// resolve covers block lookup/decode inside the cursor; encode_flush
 		// covers rendering plus pushing bytes at the client. Accumulated per
@@ -167,6 +162,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		encodeStart := time.Now()
 		line = line[:0]
 		if format == "csv" {
+			if !wrote {
+				// The header rides the first chunk, so a cursor error before
+				// then still leaves the status code ours to set.
+				line = append(line, csvHeader...)
+			}
 			for i, v := range chunk {
 				line = strconv.AppendInt(line, int64(pos+i), 10)
 				line = append(line, ',')
@@ -185,48 +185,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			line = append(line, "]}\n"...)
 		}
-		if _, err := bw.Write(line); err != nil {
+		// Each chunk goes to the client once rendered, before the next block
+		// is resolved, so slow storage never stalls bytes already decoded.
+		if _, err := w.Write(line); err != nil {
 			// Client went away; nothing left to tell it — but the abort is
 			// still an operator signal (a dashboard timing out mid-scan looks
 			// exactly like this), so it counts before the handler bails.
 			s.queryAborted.Add(1)
 			return
 		}
+		wrote = true
 		pos += len(chunk)
-		// Hand the chunk to the client before resolving the next block, so
-		// slow storage never stalls bytes already decoded.
-		if bw.Flush() != nil {
-			s.queryAborted.Add(1)
-			return
-		}
-		flushed = true
 		if flusher != nil {
 			flusher.Flush()
 		}
 		tr.addStage("encode_flush", time.Since(encodeStart))
 	}
+	line = line[:0]
 	if err := cur.Err(); err != nil {
-		if !flushed {
-			// Nothing has reached the client yet (at most an unflushed CSV
-			// header sits in bw), so the status code is still ours to set:
-			// report the failure properly instead of a 200 with an error
-			// body.
+		if !wrote {
+			// Nothing has reached the client yet, so the status code is
+			// still ours to set: report the failure properly instead of a
+			// 200 with an error body.
 			httpError(w, err)
 			return
 		}
 		// Too late for a status code; poison the body instead of letting a
 		// truncated response read as a complete one.
 		if format == "csv" {
-			fmt.Fprintf(bw, "# error: %v\n", err)
+			line = append(line, "# error: "...)
+			line = append(line, err.Error()...)
+			line = append(line, '\n')
 		} else {
 			msg, _ := json.Marshal(err.Error())
-			fmt.Fprintf(bw, "{\"error\":%s}\n", msg)
+			line = append(line, `{"error":`...)
+			line = append(line, msg...)
+			line = append(line, "}\n"...)
+		}
+	} else if format == "csv" && !wrote {
+		line = append(line, csvHeader...) // an empty range is still a CSV document
+	}
+	if len(line) > 0 {
+		if _, err := w.Write(line); err != nil {
+			s.queryAborted.Add(1)
 		}
 	}
-	if bw.Flush() != nil {
-		s.queryAborted.Add(1)
-	}
 }
+
+// csvHeader opens every CSV query response.
+const csvHeader = "index,value\n"
 
 // handleQueryAgg answers downsampled aggregate queries by mapping
 // step/aggfn straight onto Store.QueryAgg, so cold blocks of the segment
@@ -288,7 +295,9 @@ func (s *Server) handleQueryAgg(w http.ResponseWriter, r *http.Request) {
 		body = appendJSONFloat(body, v)
 	}
 	body = append(body, "]}\n"...)
-	w.Write(body)
+	if _, err := w.Write(body); err != nil {
+		s.queryAborted.Add(1)
+	}
 }
 
 func aggName(f series.AggFunc) string {

@@ -152,7 +152,7 @@ type Server struct {
 	ingestBytes    metrics.Counter // write request body bytes read
 	pointsIngested atomic.Uint64
 	throttled      atomic.Uint64 // writes refused with 429 by the in-flight cap
-	queryAborted   atomic.Uint64 // streaming queries cut short by a client write failure
+	queryAborted   atomic.Uint64 // query responses cut short by a client write failure
 	seriesDeletes  atomic.Uint64 // series dropped via DELETE /api/v1/series
 }
 
