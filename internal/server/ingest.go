@@ -158,7 +158,7 @@ func parseJSONBatch(body []byte) ([]seriesBatch, error) {
 	var req writeRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOneJSON(dec, &req); err != nil {
 		return nil, fmt.Errorf("invalid JSON batch: %w", err)
 	}
 	if len(req.Series) == 0 {
@@ -179,6 +179,22 @@ func parseJSONBatch(body []byte) ([]seriesBatch, error) {
 		batches[j].values = append(batches[j].values, e.Values...)
 	}
 	return batches, nil
+}
+
+// decodeOneJSON decodes the single JSON value a request body must hold.
+// Anything after it but whitespace is an error: a second concatenated
+// value would otherwise be dropped without a word.
+func decodeOneJSON(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errors.New("unexpected data after the JSON value")
 }
 
 // parseLineBatch decodes the newline-delimited text form. Each line is

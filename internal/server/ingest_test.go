@@ -3,9 +3,12 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +77,11 @@ func TestWriteFormsAndBatching(t *testing.T) {
 	if got, _ := db.Query("c", 0, 3); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("json batch points: %v", got)
 	}
+	// Whitespace after the value is still one value.
+	if status, resp, _ = httpPost(t, srv.URL+"/api/v1/write", "application/json",
+		"{\"series\":[{\"name\":\"c\",\"values\":[4]}]}\r\n\t "); status != http.StatusOK {
+		t.Fatalf("json write with trailing whitespace: %d %s", status, resp)
+	}
 
 	// Malformed bodies are the caller's fault.
 	for name, tc := range map[string]struct{ ct, body string }{
@@ -85,10 +93,16 @@ func TestWriteFormsAndBatching(t *testing.T) {
 		"no-series":    {"application/json", `{"series":[]}`},
 		"no-values":    {"application/json", `{"series":[{"name":"x","values":[]}]}`},
 		"unknown-key":  {"application/json", `{"metrics":[]}`},
+		// A second value after the first is refused, not dropped.
+		"two-batches":   {"application/json", `{"series":[{"name":"z","values":[1]}]}{"series":[{"name":"z","values":[2]}]}`},
+		"trailing-junk": {"application/json", `{"series":[{"name":"z","values":[1]}]} garbage`},
 	} {
 		if status, resp, _ := httpPost(t, srv.URL+"/api/v1/write", tc.ct, tc.body); status != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", name, status, resp)
 		}
+	}
+	if got, err := db.Query("z", 0, 2); err == nil {
+		t.Fatalf("a refused JSON body appended %v", got)
 	}
 }
 
@@ -362,4 +376,90 @@ func TestWriteRejectsNonFinite(t *testing.T) {
 	if status, resp, _ := httpPost(t, lossless.URL+"/api/v1/write", "text/plain", "a 1.5\na NaN\na +Inf\n"); status != http.StatusOK {
 		t.Fatalf("NaN write to a gorilla store: %d %s", status, resp)
 	}
+}
+
+// FuzzParseLineBatch checks the line parser against a plain model of the
+// text form: it never panics; a parsed batch holds one point per data line
+// and, per series in order of first appearance, the ParseFloat of each
+// value token stably sorted by timestamp; a refusal names the first bad
+// line, or says there was no data line at all.
+func FuzzParseLineBatch(f *testing.F) {
+	for _, s := range []string{
+		"a 1.5\nb 2.5\n",
+		"# c\n\na 3 30.5\nb 1.25\na 1 10.5\na 2 20.5\n",
+		"a 1 2 3 4",
+		"a eleven",
+		"a 1.5e nope",
+		"a NaN\na -Inf\r\n a\t+Inf ",
+		"a 9223372036854775808 1\n",
+		"x 2 1\nx 1 2\nx 2 3\nx 1 4",
+		"\n# nothing\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		type point struct {
+			stamp int64
+			value float64
+		}
+		var order []string
+		want := map[string][]point{}
+		dataLines, firstBad := 0, 0
+		for i, line := range strings.Split(body, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || fields[0][0] == '#' {
+				continue
+			}
+			dataLines++
+			stamp, err := int64(i+1), error(nil)
+			if len(fields) == 3 {
+				stamp, err = strconv.ParseInt(fields[1], 10, 64)
+			}
+			value, verr := strconv.ParseFloat(fields[len(fields)-1], 64)
+			if len(fields) > 3 || len(fields) < 2 || err != nil || verr != nil {
+				if firstBad == 0 {
+					firstBad = i + 1
+				}
+				continue
+			}
+			if _, ok := want[fields[0]]; !ok {
+				order = append(order, fields[0])
+			}
+			want[fields[0]] = append(want[fields[0]], point{stamp, value})
+		}
+
+		batches, err := parseLineBatch([]byte(body))
+		if err != nil {
+			wantMsg := fmt.Sprintf("line %d: ", firstBad)
+			if firstBad == 0 {
+				wantMsg = "empty write"
+			}
+			if !strings.HasPrefix(err.Error(), wantMsg) {
+				t.Fatalf("error %q, want it to start with %q", err, wantMsg)
+			}
+			return
+		}
+		if firstBad != 0 {
+			t.Fatalf("accepted a body whose line %d is bad", firstBad)
+		}
+		points := 0
+		for _, b := range batches {
+			points += len(b.values)
+		}
+		if points != dataLines || len(batches) != len(order) {
+			t.Fatalf("%d points in %d series, want %d in %d", points, len(batches), dataLines, len(order))
+		}
+		for i, b := range batches {
+			if b.name != order[i] {
+				t.Fatalf("series %d is %q, want %q", i, b.name, order[i])
+			}
+			pts := want[b.name]
+			sort.SliceStable(pts, func(i, j int) bool { return pts[i].stamp < pts[j].stamp })
+			for j, p := range pts {
+				if math.Float64bits(b.values[j]) != math.Float64bits(p.value) {
+					t.Fatalf("series %q value %d = %v, want %v", b.name, j, b.values[j], p.value)
+				}
+			}
+		}
+	})
 }

@@ -32,7 +32,7 @@ type multiQueryRequest struct {
 func (s *Server) decodeMultiRequest(w http.ResponseWriter, r *http.Request) (multiQueryRequest, bool) {
 	var req multiQueryRequest
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeOneJSON(json.NewDecoder(body), &req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			httpError(w, err)

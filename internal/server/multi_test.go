@@ -154,8 +154,9 @@ func TestBatchQueryRangeAndEmptySection(t *testing.T) {
 }
 
 // TestBatchQueryValidation covers the request-level refusals: malformed
-// JSON, an empty series list, and an inverted range are 400s; a body
-// past MaxRequestBytes is a 413. None of them reach the store.
+// JSON, data after the JSON value, an empty series list, and an inverted
+// range are 400s; a body past MaxRequestBytes is a 413. None of them
+// reach the store.
 func TestBatchQueryValidation(t *testing.T) {
 	_, srv := newTestServer(t, nil, Options{MaxRequestBytes: 256}, map[string][]float64{
 		"a": sensorData(100, 6),
@@ -167,6 +168,8 @@ func TestBatchQueryValidation(t *testing.T) {
 		{"malformed JSON", `{"series":`, http.StatusBadRequest},
 		{"empty series list", `{"series":[]}`, http.StatusBadRequest},
 		{"inverted range", `{"series":["a"],"from":9,"to":3}`, http.StatusBadRequest},
+		{"second value", `{"series":["a"],"step":4}{"series":["a"],"step":4}`, http.StatusBadRequest},
+		{"trailing junk", `{"series":["a"],"step":4} garbage`, http.StatusBadRequest},
 		{"oversized body", `{"series":["` + strings.Repeat("x", 400) + `"]}`, http.StatusRequestEntityTooLarge},
 	} {
 		for _, ep := range []string{"/api/v1/query", "/api/v1/query_agg"} {

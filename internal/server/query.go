@@ -79,16 +79,11 @@ func rangeParams(q url.Values) (name string, from, to int, err error) {
 // no literal for non-finite values, so those encode as the strings "NaN",
 // "+Inf", "-Inf" (strconv.ParseFloat accepts all three spellings back).
 func appendJSONFloat(b []byte, v float64) []byte {
-	if math.IsNaN(v) {
-		return append(b, `"NaN"`...)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		b = append(b, '"')
+		return append(appendShortest(b, v), '"')
 	}
-	if math.IsInf(v, 1) {
-		return append(b, `"+Inf"`...)
-	}
-	if math.IsInf(v, -1) {
-		return append(b, `"-Inf"`...)
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	return appendShortest(b, v)
 }
 
 // handleQuery streams the raw reconstruction of one range straight off a
@@ -170,7 +165,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			for i, v := range chunk {
 				line = strconv.AppendInt(line, int64(pos+i), 10)
 				line = append(line, ',')
-				line = strconv.AppendFloat(line, v, 'g', -1, 64)
+				line = appendShortest(line, v)
 				line = append(line, '\n')
 			}
 		} else {

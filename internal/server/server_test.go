@@ -241,6 +241,138 @@ func TestQueryBitIdenticalAllCodecs(t *testing.T) {
 	}
 }
 
+// jsonFloats parses a JSON values array the way a client must: numbers,
+// plus the quoted "NaN", "+Inf" and "-Inf" JSON has no literal for.
+func jsonFloats(t *testing.T, raw []json.RawMessage) []float64 {
+	t.Helper()
+	out := make([]float64, len(raw))
+	for i, r := range raw {
+		v, err := strconv.ParseFloat(strings.Trim(string(r), `"`), 64)
+		if err != nil {
+			t.Fatalf("value %d: %v", i, err)
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// sameFloats is sameBits for results that may hold a NaN computed by
+// arithmetic: the text form carries no NaN payload, so any NaN matches a
+// NaN; every other value must match bit for bit.
+func sameFloats(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: value %d = %v (bits %x), want %v (bits %x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestQueryEdgeValuesBitIdentical reads the values a float formatter gets
+// wrong first — non-finites, signed zero, the extremes and the thresholds
+// of %g's layout — back through every read endpoint of a lossless store.
+// Raw samples must parse back bit-identical to Query (the stored NaN
+// included); aggregates match QueryAgg up to NaN payloads.
+func TestQueryEdgeValuesBitIdentical(t *testing.T) {
+	edge := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		1e-5, 1e-4, 9.9999e-5, 123456, 999999, 999999.5, 1e6, 1e21, -1e-5, -999999.5,
+	}
+	xs := sensorData(2*512+77, 9)
+	for i := range xs {
+		if i%3 == 0 {
+			xs[i] = edge[i/3%len(edge)]
+		}
+	}
+	db, srv := newTestServer(t, codec.Gorilla{}, Options{}, map[string][]float64{"e": xs})
+	ranges := [][2]int{{0, len(xs)}, {500, 530}, {2 * 512, len(xs)}}
+	for _, r := range ranges {
+		want, err := db.Query("e", r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := fmt.Sprintf("%s/api/v1/query?series=e&from=%d&to=%d", srv.URL, r[0], r[1])
+		status, body := httpGet(t, url)
+		if status != http.StatusOK {
+			t.Fatalf("query %v: %d %s", r, status, body)
+		}
+		var got []float64
+		next := r[0]
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			var chunk struct {
+				Start  int               `json:"start"`
+				Values []json.RawMessage `json:"values"`
+			}
+			if err := json.Unmarshal([]byte(line), &chunk); err != nil || chunk.Start != next {
+				t.Fatalf("ndjson %v: line %q: start want %d, %v", r, line, next, err)
+			}
+			got = append(got, jsonFloats(t, chunk.Values)...)
+			next += len(chunk.Values)
+		}
+		sameBits(t, fmt.Sprintf("ndjson %v", r), got, want)
+
+		status, body = httpGet(t, url+"&format=csv")
+		if status != http.StatusOK {
+			t.Fatalf("csv query %v: %d %s", r, status, body)
+		}
+		sameBits(t, fmt.Sprintf("csv %v", r), parseCSV(t, body, r[0]), want)
+
+		reqBody := fmt.Sprintf(`{"series":["e","e"],"from":%d,"to":%d}`, r[0], r[1])
+		status, body, _ = httpPost(t, srv.URL+"/api/v1/query", "application/json", reqBody)
+		if status != http.StatusOK {
+			t.Fatalf("batch query %v: %d %s", r, status, body)
+		}
+		got = got[:0]
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			var chunk struct {
+				Series string            `json:"series"`
+				Values []json.RawMessage `json:"values"`
+			}
+			if err := json.Unmarshal([]byte(line), &chunk); err != nil || chunk.Series != "e" {
+				t.Fatalf("batch ndjson %v: line %q: %v", r, line, err)
+			}
+			got = append(got, jsonFloats(t, chunk.Values)...)
+		}
+		sameBits(t, fmt.Sprintf("batch query %v", r), got, append(want, want...))
+	}
+
+	for _, step := range []int{1, 5} {
+		for _, aggfn := range []string{"mean", "sum", "max", "min"} {
+			want, err := db.QueryAgg("e", 0, len(xs), step, parseAggMust(t, aggfn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("query_agg step %d %s", step, aggfn)
+			status, body := httpGet(t, fmt.Sprintf("%s/api/v1/query_agg?series=e&step=%d&aggfn=%s", srv.URL, step, aggfn))
+			if status != http.StatusOK {
+				t.Fatalf("%s: %d %s", what, status, body)
+			}
+			var resp struct {
+				Values []json.RawMessage `json:"values"`
+			}
+			if err := json.Unmarshal([]byte(body), &resp); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameFloats(t, what, jsonFloats(t, resp.Values), want)
+
+			reqBody := fmt.Sprintf(`{"series":["e"],"step":%d,"aggfn":%q}`, step, aggfn)
+			status, body, _ = httpPost(t, srv.URL+"/api/v1/query_agg", "application/json", reqBody)
+			if status != http.StatusOK {
+				t.Fatalf("batch %s: %d %s", what, status, body)
+			}
+			if err := json.Unmarshal([]byte(body), &resp); err != nil {
+				t.Fatalf("batch %s: %v", what, err)
+			}
+			sameFloats(t, "batch "+what, jsonFloats(t, resp.Values), want)
+		}
+	}
+}
+
 // TestQueryErrorStatus pins the streaming error contract: a resolution
 // failure before any bytes reached the client is a proper 5xx, while a
 // failure after streaming began (status already sent) poisons the body
