@@ -33,10 +33,11 @@ type CAMEO struct {
 
 	// Totals over every block encoded so far, added once per block (as its
 	// payload is produced): impact evaluations computed in full and those
-	// that reused cached cross terms (core.Result.Evals/CachedEvals), heap
-	// pops (Iterations), and blocks by why their run ended (Stop).
-	fullEvals, cachedEvals, pops atomic.Uint64
-	stops                        [core.StopProbe + 1]atomic.Uint64
+	// that reused cached cross terms (core.Result.Evals/CachedEvals),
+	// evaluations over the lag sketch (SketchEvals), heap pops (Iterations),
+	// and blocks by why their run ended (Stop).
+	fullEvals, cachedEvals, sketchEvals, pops atomic.Uint64
+	stops                                     [core.StopProbe + 1]atomic.Uint64
 }
 
 // NewCAMEO returns a CAMEO codec compressing under opt (Lags and Epsilon /
@@ -95,16 +96,19 @@ func (c *CAMEO) EncodeWithRecon(xs []float64) ([]byte, []float64, error) {
 func (c *CAMEO) count(res *core.Result) {
 	c.fullEvals.Add(uint64(res.Evals - res.CachedEvals))
 	c.cachedEvals.Add(uint64(res.CachedEvals))
+	c.sketchEvals.Add(uint64(res.SketchEvals))
 	c.pops.Add(uint64(res.Iterations))
 	c.stops[res.Stop].Add(1)
 }
 
-// EvalTotals reports the impact evaluations behind every block this
-// instance has encoded (batch and streamed): full ones, which paid the
-// O(lags*gap) cross-product sums, and cached ones, which reused them. Their
-// ratio is the hit share of core's term cache.
-func (c *CAMEO) EvalTotals() (full, cached uint64) {
-	return c.fullEvals.Load(), c.cachedEvals.Load()
+// EvalTotals reports the evaluations behind every block this instance has
+// encoded (batch and streamed): full impact evaluations, which paid the
+// O(lags*gap) cross-product sums, cached ones, which reused them (the ratio
+// of the two is the hit share of core's term cache), and sketch ones, which
+// ranked candidates over the lag sketch of a large-lag shape (see
+// core.Options.Lags). Their sum is the work units the blocks cost.
+func (c *CAMEO) EvalTotals() (full, cached, sketch uint64) {
+	return c.fullEvals.Load(), c.cachedEvals.Load(), c.sketchEvals.Load()
 }
 
 // RunTotals reports how the runs behind every block this instance has

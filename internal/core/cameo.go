@@ -43,11 +43,12 @@ type evalCtx struct {
 	pacf    []float64 // Durbin-Levinson scratch (StatPACF only)
 	phiPrev []float64
 	phiCur  []float64
+	ssc     *acf.Scratch // sketch-tracker scratch (ctxs[0], once a sketch is armed)
 
-	// Impact evaluations this context ran since the last reset, and how many
-	// of them found the point's cross terms cached. Per context so the hot
-	// path needs no atomics; result sums them.
-	evals, cached int
+	// Impact evaluations this context ran since the last reset, how many of
+	// them found the point's cross terms cached, and the sketch evaluations
+	// it ran. Per context so the hot path needs no atomics; result sums them.
+	evals, cached, sketchEvals int
 }
 
 // parTask assigns one chunk of the shared point list to eval worker w.
@@ -93,6 +94,14 @@ type engine struct {
 	fastMAE bool
 
 	ctxs []*evalCtx // ctxs[0] is the main goroutine's
+
+	// Sketch order (armSketch). While sketch is set the heap is keyed by each
+	// candidate's deviation over sketchLags alone, tracked by this compact
+	// tracker beside the full one, and a popped candidate is removed only on
+	// its exact full-L impact. nil: keys are exact impacts.
+	sketch     *acf.DirectTracker
+	sketchLags []int     // depends on Lags only: built once per engine
+	sketchBase []float64 // the original series' ACF at sketchLags
 
 	cache termCache // per-point cross terms (see termcache.go)
 
@@ -147,8 +156,11 @@ func (e *engine) reset(xs []float64, opt Options) {
 func (e *engine) compress(xs []float64, opt Options) *Result {
 	e.resetPre(xs, opt)
 	e.installTracker(e.buildTracker(e.orig))
-	if e.probes() && e.probe() {
-		return e.result(StopProbe)
+	if e.probes() {
+		if e.probe() {
+			return e.result(StopProbe)
+		}
+		e.armSketch()
 	}
 	e.initImpacts(0, len(e.points))
 	e.armHeap()
@@ -186,6 +198,52 @@ func (e *engine) probe() bool {
 	return true
 }
 
+// Sketch order's constants: the shapes from sketchMinLags lags up rank on a
+// sketch of about log_1.25(L) lags — 18 at L = 96, 24 at L = 365 — so a
+// sketch evaluation reads at most a fifth of the lags a full one does.
+const (
+	sketchMinLags = 96
+	sketchSpacing = 1.25
+)
+
+// sketchLagsFor returns the sketch of lags 1..L: the distinct values
+// floor(1.25^k) below L, then L itself, ascending (the paper's lag-subset
+// variant, §5.5, shows a few well-spread lags capture the ACF's shape).
+func sketchLagsFor(L int) []int {
+	var lags []int
+	for f := 1.0; int(f) < L; f *= sketchSpacing {
+		if l := int(f); len(lags) == 0 || l != lags[len(lags)-1] {
+			lags = append(lags, l)
+		}
+	}
+	return append(lags, L)
+}
+
+// armSketch engages sketch order for a block the probe missed (the caller
+// checked probes(): an epsilon bound and no ratio stop) when its shape is a
+// dense, direct ACF at L >= sketchMinLags. Initial impacts, refreshes and
+// stale-pop revalidation then evaluate the sketch only; run admits a removal
+// on the exact impact, so the bound and Result.Deviation keep their meaning.
+// Every other shape, CompressCoarse's partitions and InitialImpacts keep
+// exact keys. Sketch work stays on the calling goroutine.
+func (e *engine) armSketch() {
+	o := &e.opt
+	if o.Statistic != StatACF || len(o.LagSubset) > 0 || o.AggWindow >= 2 || o.Lags < sketchMinLags {
+		return
+	}
+	if e.sketchLags == nil {
+		e.sketchLags = sketchLagsFor(o.Lags)
+	}
+	e.sketch = acf.NewDirectTrackerLags(e.orig, e.sketchLags)
+	e.sketchBase = grow(e.sketchBase, len(e.sketchLags))
+	e.sketch.ACFInto(e.sketchBase)
+	ctx := e.ctxs[0]
+	if ctx.ssc == nil {
+		ctx.ssc = e.sketch.NewScratch()
+	}
+	ctx.ssc.SetBase(e.sketchBase)
+}
+
 // resetPre performs the tracker-independent part of reset: copies the
 // input, re-arms pointer/flag buffers, derives the tracker shape
 // (trackLags/compactLags) and builds the interior point list. O(n).
@@ -200,6 +258,7 @@ func (e *engine) resetPre(xs []float64, opt Options) {
 	e.removed = grow(e.removed, n)
 	e.keys = grow(e.keys, n)
 	e.dev, e.removedCnt, e.iterations = 0, 0, 0
+	e.sketch = nil
 	e.hops = opt.BlockHops
 	if e.hops == 0 {
 		e.hops = defaultBlockHops(n, opt.NoRevalidate)
@@ -278,7 +337,7 @@ func (e *engine) installTracker(tr acf.Tracker) {
 		}
 	}
 	for _, ctx := range e.ctxs {
-		ctx.evals, ctx.cached = 0, 0
+		ctx.evals, ctx.cached, ctx.sketchEvals = 0, 0, 0
 	}
 	e.cache.arm(tr, e.n, e.hops)
 
@@ -433,15 +492,27 @@ func (e *engine) gapDeltas(p int32, ctx *evalCtx) (int, []float64) {
 // allocation. fill lets a cache miss keep the point's cross terms.
 func (e *engine) impact(p int32, ctx *evalCtx, fill bool) float64 {
 	ctx.evals++
-	hyp := e.hypothetical(p, ctx, fill)
+	return e.deviation(e.hypothetical(p, ctx, fill), e.base, ctx.sc, ctx)
+}
+
+// sketchImpact is impact over the sketch lags, against the original ACF
+// there: the key sketch order ranks p by. It never decides a removal.
+func (e *engine) sketchImpact(p int32, ctx *evalCtx) float64 {
+	ctx.sketchEvals++
+	start, d := e.gapDeltas(p, ctx)
+	return e.deviation(e.sketch.Hypothetical(e.cur, start, d, ctx.ssc), e.sketchBase, ctx.ssc, ctx)
+}
+
+// deviation measures the hypothetical ACF hyp, which sc's last evaluation
+// produced, against base. NaN reads as +Inf, a removal never to take.
+func (e *engine) deviation(hyp, base []float64, sc *acf.Scratch, ctx *evalCtx) float64 {
 	var v float64
 	if e.fastMAE {
 		// The kernel accumulated sum |hyp_i - base_i| while evaluating;
 		// dividing by the lag count is exactly stats.MAE(hyp, base).
-		v = ctx.sc.DevSum() / float64(len(e.base))
+		v = sc.DevSum() / float64(len(base))
 	} else {
-		feat := e.feature(hyp, ctx)
-		v = e.opt.Measure.Eval(feat, e.base)
+		v = e.opt.Measure.Eval(e.feature(hyp, ctx), base)
 	}
 	if math.IsNaN(v) {
 		return math.Inf(1)
@@ -454,7 +525,8 @@ func (e *engine) impact(p int32, ctx *evalCtx, fill bool) float64 {
 // where it left off (the budgeted call performs the same operations in the
 // same order as an unbudgeted one, so resumed runs are bit-identical to
 // batch runs). Returns why it stopped and the number of work units spent —
-// one unit per impact evaluation, the currency StreamEngine paces by.
+// one unit per impact or sketch evaluation, the currency StreamEngine paces
+// by.
 func (e *engine) run(stop stopConditions) (Stop, int) {
 	alive := e.n - e.removedCnt
 	removedThisCall := 0
@@ -472,22 +544,51 @@ func (e *engine) run(stop stopConditions) (Stop, int) {
 		p, key := e.heap.Pop()
 		e.iterations++
 
-		// Blocking leaves stale keys on far-away points; revalidate the
-		// popped candidate so the bound check is exact. If its true impact
-		// now exceeds the next candidate's key, push it back and try that
-		// one instead (lazy revalidation; converges because keys become
-		// exact on re-push and state does not change between pops).
-		exact := e.impact(p, e.ctxs[0], true)
-		units++
-		if !e.opt.NoRevalidate && e.heap.Len() > 0 && exact > e.heap.PeekKey() && exact > key {
-			e.heap.Push(p, exact)
-			continue
-		}
-		if stop.epsilon > 0 && exact > stop.epsilon {
-			// Even the least-impact candidate violates the bound: stop
-			// (Alg. 1). Re-insert so a resumed run can reconsider it.
-			e.heap.Push(p, exact)
-			return StopBound, units
+		var exact float64
+		if e.sketch != nil {
+			// Sketch order: the lazy revalidation below runs on the sketch
+			// key, and only a candidate that stays the minimum pays the
+			// exact evaluation. Over the bound it is parked at +Inf, not the
+			// end of the run: in sketch order the first violation does not
+			// mean that no feasible candidate is left. A neighbour's refresh
+			// un-parks it, so exact evaluations stay O(n*h); the run ends
+			// when every candidate left is parked.
+			if !e.opt.NoRevalidate && e.heap.Len() > 0 {
+				sk := e.sketchImpact(p, e.ctxs[0])
+				units++
+				if sk > e.heap.PeekKey() && sk > key {
+					e.heap.Push(p, sk)
+					continue
+				}
+			}
+			exact = e.impact(p, e.ctxs[0], true)
+			units++
+			if exact > stop.epsilon {
+				e.heap.Push(p, math.Inf(1))
+				if math.IsInf(e.heap.PeekKey(), 1) {
+					return StopBound, units
+				}
+				continue
+			}
+		} else {
+			// Blocking leaves stale keys on far-away points; revalidate the
+			// popped candidate so the bound check is exact. If its true
+			// impact now exceeds the next candidate's key, push it back and
+			// try that one instead (lazy revalidation; converges because
+			// keys become exact on re-push and state does not change
+			// between pops).
+			exact = e.impact(p, e.ctxs[0], true)
+			units++
+			if !e.opt.NoRevalidate && e.heap.Len() > 0 && exact > e.heap.PeekKey() && exact > key {
+				e.heap.Push(p, exact)
+				continue
+			}
+			if stop.epsilon > 0 && exact > stop.epsilon {
+				// Even the least-impact candidate violates the bound: stop
+				// (Alg. 1). Re-insert so a resumed run can reconsider it.
+				e.heap.Push(p, exact)
+				return StopBound, units
+			}
 		}
 		e.remove(p, exact)
 		units += len(e.neigh)
@@ -503,6 +604,9 @@ func (e *engine) remove(p int32, exactDev float64) {
 	ctx := e.ctxs[0]
 	start, d := e.gapDeltas(p, ctx)
 	e.commit(p, start, d)
+	if e.sketch != nil {
+		e.sketch.Commit(e.cur, start, d)
+	}
 	for i, dv := range d {
 		e.cur[start+i] += dv
 	}
@@ -551,13 +655,22 @@ func (e *engine) reHeap(p int32) {
 	}
 }
 
-// impactInto fills keys[i] = impact(points[i]). Small batches run on the
-// calling goroutine; larger ones are chunked across the persistent eval
-// workers, with the caller working chunk 0 itself. A worker must get some 64
-// evaluations (10-30 us, most of them cached) to repay its wake-up: the
-// initial impacts and an explicit large or unbounded radius do, the default
-// radius's 8-point batches ran 1.4x slower dispatched than serial.
+// impactInto fills keys[i] with points[i]'s heap key: its sketch key under
+// sketch order, always on the calling goroutine, else its impact. Small
+// batches of impacts run on the calling goroutine; larger ones are chunked
+// across the persistent eval workers, with the caller working chunk 0
+// itself. A worker must get some 64 evaluations (10-30 us, most of them
+// cached) to repay its wake-up: the initial impacts and an explicit large or
+// unbounded radius do, the default radius's 8-point batches ran 1.4x slower
+// dispatched than serial.
 func (e *engine) impactInto(points []int32, keys []float64) {
+	if e.sketch != nil {
+		ctx := e.ctxs[0]
+		for i, p := range points {
+			keys[i] = e.sketchImpact(p, ctx)
+		}
+		return
+	}
 	t := len(e.ctxs)
 	if t <= 1 || len(points) < 64*t {
 		ctx := e.ctxs[0]
@@ -632,6 +745,7 @@ func (e *engine) result(stop Stop) *Result {
 	for _, ctx := range e.ctxs {
 		res.Evals += ctx.evals
 		res.CachedEvals += ctx.cached
+		res.SketchEvals += ctx.sketchEvals
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,6 +21,11 @@ import (
 // against the old branchy update), it proves the rebuilt engine — compact
 // trackers, fused MAE path, pooled buffers, persistent workers — retains
 // exactly the same points.
+//
+// Sketch order (engine.armSketch) is mirrored naively: on the shapes it
+// serves a second tracker over the sketch lags, listed afresh by
+// refSketchLags, keys the heap through the generic measure, and a popped
+// candidate is removed on its full-L impact or parked at +Inf.
 type refEngine struct {
 	opt         Options
 	n           int
@@ -32,6 +38,9 @@ type refEngine struct {
 	sc          *acf.Scratch
 	deltas      []float64
 	featBuf     []float64
+	sketch      acf.Tracker // nil: keys are exact impacts
+	sketchBase  []float64
+	ssc         *acf.Scratch
 	dev         float64
 	removedCnt  int
 	iterations  int
@@ -85,13 +94,19 @@ func newRefEngine(xs []float64, opt Options) *refEngine {
 		e.right[i] = int32(i + 1)
 	}
 	e.base = append([]float64(nil), refFeature(opt, e.tracker.ACF(), make([]float64, opt.Lags))...)
+	if opt.Epsilon > 0 && opt.TargetRatio == 0 && n > 2 && opt.Statistic == StatACF &&
+		len(opt.LagSubset) == 0 && opt.AggWindow == 0 && opt.Lags >= 96 {
+		e.sketch = acf.NewDirectTrackerLags(xs, refSketchLags(opt.Lags))
+		e.sketchBase = e.sketch.ACF()
+		e.ssc = e.sketch.NewScratch()
+	}
 	keys := make([]float64, n)
 	points := make([]int32, 0, max(0, n-2))
 	for i := 1; i < n-1; i++ {
 		points = append(points, int32(i))
 	}
 	for _, p := range points {
-		keys[p] = e.impact(p)
+		keys[p] = e.key(p)
 	}
 	e.heap = pheap.New(n, points, keys)
 	return e
@@ -125,6 +140,37 @@ func (e *refEngine) impact(p int32) float64 {
 	return v
 }
 
+// refSketchLags lists the distinct floor(1.25^k) below L, then L.
+func refSketchLags(L int) []int {
+	seen := map[int]bool{}
+	var lags []int
+	for k := 0; ; k++ {
+		l := int(math.Floor(math.Pow(1.25, float64(k))))
+		if l >= L {
+			break
+		}
+		if !seen[l] {
+			seen[l] = true
+			lags = append(lags, l)
+		}
+	}
+	return append(lags, L)
+}
+
+// key is p's heap key: its sketch deviation under sketch order, else its
+// impact.
+func (e *refEngine) key(p int32) float64 {
+	if e.sketch == nil {
+		return e.impact(p)
+	}
+	start, d := e.gapDeltas(p)
+	v := e.opt.Measure.Eval(e.sketch.Hypothetical(e.cur, start, d, e.ssc), e.sketchBase)
+	if math.IsNaN(v) {
+		return math.Inf(1)
+	}
+	return v
+}
+
 func (e *refEngine) run(epsilon, targetRatio float64) {
 	alive := e.n - e.removedCnt
 	for e.heap.Len() > 0 {
@@ -133,17 +179,37 @@ func (e *refEngine) run(epsilon, targetRatio float64) {
 		}
 		p, key := e.heap.Pop()
 		e.iterations++
-		exact := e.impact(p)
-		if !e.opt.NoRevalidate && e.heap.Len() > 0 && exact > e.heap.PeekKey() && exact > key {
-			e.heap.Push(p, exact)
-			continue
-		}
-		if epsilon > 0 && exact > epsilon {
-			e.heap.Push(p, exact)
-			return
+		var exact float64
+		if e.sketch != nil {
+			if !e.opt.NoRevalidate && e.heap.Len() > 0 {
+				if sk := e.key(p); sk > e.heap.PeekKey() && sk > key {
+					e.heap.Push(p, sk)
+					continue
+				}
+			}
+			if exact = e.impact(p); exact > epsilon {
+				e.heap.Push(p, math.Inf(1))
+				if math.IsInf(e.heap.PeekKey(), 1) {
+					return
+				}
+				continue
+			}
+		} else {
+			exact = e.impact(p)
+			if !e.opt.NoRevalidate && e.heap.Len() > 0 && exact > e.heap.PeekKey() && exact > key {
+				e.heap.Push(p, exact)
+				continue
+			}
+			if epsilon > 0 && exact > epsilon {
+				e.heap.Push(p, exact)
+				return
+			}
 		}
 		start, d := e.gapDeltas(p)
 		e.tracker.Commit(e.cur, start, d)
+		if e.sketch != nil {
+			e.sketch.Commit(e.cur, start, d)
+		}
 		for i, dv := range d {
 			e.cur[start+i] += dv
 		}
@@ -165,11 +231,11 @@ func (e *refEngine) reHeap(p int32) {
 		hops = e.n
 	}
 	for i, q := 0, l; i < hops && q > 0; i++ {
-		e.heap.Fix(q, e.impact(q))
+		e.heap.Fix(q, e.key(q))
 		q = e.left[q]
 	}
 	for i, q := 0, r; i < hops && int(q) < e.n-1; i++ {
-		e.heap.Fix(q, e.impact(q))
+		e.heap.Fix(q, e.key(q))
 		q = e.right[q]
 	}
 }
@@ -255,7 +321,9 @@ func shrinkTermCache(t *testing.T, slots, p int) {
 // reference evaluates every impact afresh, so the last group of shapes —
 // lags reaching past the blocking radius, a term cache a sixth of the
 // series, every point re-evaluated per removal, eval workers — is what pins
-// cached evaluations and their invalidation.
+// cached evaluations and their invalidation. The shapes from 96 lags up run
+// in sketch order against the reference's naive mirror of it; there the
+// cache serves the exact check and the commit, not the refreshes.
 func TestOptimizedMatchesReference(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -278,6 +346,12 @@ func TestOptimizedMatchesReference(t *testing.T) {
 		{name: "unblocked", opt: Options{Lags: 12, TargetRatio: 5, BlockHops: -1}},
 
 		{name: "lags-past-hops", opt: Options{Lags: 160, Epsilon: 0.05}, n: 1200},
+		{name: "lags-past-hops-exact", opt: Options{Lags: 80, Epsilon: 0.05}, n: 1200},
+		{name: "sketch-rmse", opt: Options{Lags: 150, Epsilon: 0.05, Measure: stats.MeasureRMSE}, n: 900},
+		{name: "sketch-no-revalidate", opt: Options{Lags: 150, Epsilon: 0.05, NoRevalidate: true}, n: 900},
+		{name: "sketch-threads", opt: Options{Lags: 150, Epsilon: 0.05, Threads: 4}, n: 900},
+		{name: "sketch-unblocked", opt: Options{Lags: 96, Epsilon: 0.05, BlockHops: -1}, n: 600},
+		{name: "large-lags-ratio", opt: Options{Lags: 150, TargetRatio: 5}, n: 900},
 		{name: "evicting", opt: Options{Lags: 16, Epsilon: 0.02}, n: 1500, cacheSlots: 256},
 		{name: "evicting-subset", opt: Options{Lags: 24, Epsilon: 0.05, LagSubset: []int{1, 12, 24}}, n: 1500, cacheSlots: 256},
 		{name: "evicting-pacf", opt: Options{Lags: 10, Epsilon: 0.05, Statistic: StatPACF}, n: 1500, cacheSlots: 256},
@@ -315,7 +389,11 @@ func TestOptimizedMatchesReference(t *testing.T) {
 				}
 				want := referenceCompress(xs, cfg.opt)
 				requireSameResult(t, "Compress", got, want)
-				if armed && got.Stop != StopProbe && kind != "constant" && got.Removed > 0 && got.CachedEvals == 0 {
+				sketched := cfg.opt.Lags >= 96 && cfg.opt.TargetRatio == 0 && got.Stop != StopProbe
+				if sketched != (got.SketchEvals > 0) {
+					t.Fatalf("%d sketch evaluations, sketch order expected = %v", got.SketchEvals, sketched)
+				}
+				if armed && !sketched && got.Stop != StopProbe && kind != "constant" && got.Removed > 0 && got.CachedEvals == 0 {
 					t.Fatalf("no evaluation of %d reused cached terms", got.Evals)
 				}
 			})
@@ -324,13 +402,31 @@ func TestOptimizedMatchesReference(t *testing.T) {
 }
 
 // TestReusedEnginesMatchReference drives the two engine-reusing entry points
-// over blocks of different lengths with a term cache smaller than the longer
-// ones: a Compressor (whose tags from the previous block must not survive
-// reset) and a StreamEngine advanced one work unit at a time (whose cache is
-// armed mid-block, when the tracker is installed).
+// over blocks of different lengths: a Compressor (whose tags from the
+// previous block must not survive reset) and a StreamEngine advanced one
+// work unit at a time (whose cache is armed mid-block, when the tracker is
+// installed). At 16 lags the term cache is smaller than the longer blocks;
+// at 150 the blocks run in sketch order, whose sketch tracker is armed
+// after the probe step and must not leak into the next block either.
 func TestReusedEnginesMatchReference(t *testing.T) {
-	opt := Options{Lags: 16, Epsilon: 0.02}
-	shrinkTermCache(t, 256, opt.Lags)
+	for _, tc := range []struct {
+		opt        Options
+		cacheSlots int
+		lengths    []int
+	}{
+		{Options{Lags: 16, Epsilon: 0.02}, 256, []int{1500, 300, 1100, 128, 1500}},
+		{Options{Lags: 150, Epsilon: 0.05}, 0, []int{1500, 600, 1100, 700, 1500}},
+	} {
+		t.Run(fmt.Sprintf("lags-%d", tc.opt.Lags), func(t *testing.T) {
+			testReusedEngines(t, tc.opt, tc.cacheSlots, tc.lengths)
+		})
+	}
+}
+
+func testReusedEngines(t *testing.T, opt Options, cacheSlots int, lengths []int) {
+	if cacheSlots > 0 {
+		shrinkTermCache(t, cacheSlots, opt.Lags)
+	}
 	cmp, err := NewCompressor(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +437,7 @@ func TestReusedEnginesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer se.Close()
-	for i, n := range []int{1500, 300, 1100, 128, 1500} {
+	for i, n := range lengths {
 		xs := diffSeries("seasonal", n, int64(i+1))
 		want := referenceCompress(xs, opt)
 
@@ -366,11 +462,15 @@ func TestReusedEnginesMatchReference(t *testing.T) {
 		requireSameResult(t, "StreamEngine", got, want)
 		// Units beyond the evaluations are the n samples fed to the
 		// aggregate builder and the n the two-point probe is charged.
-		if got.Evals != units-2*n {
-			t.Fatalf("block %d: %d impact evaluations, %d work units after the %d-sample build and probe", i, got.Evals, units-2*n, n)
+		if evals := got.Evals + got.SketchEvals; evals != units-2*n {
+			t.Fatalf("L=%d block %d: %d evaluations, %d work units after the %d-sample build and probe", opt.Lags, i, evals, units-2*n, n)
 		}
-		if got.CachedEvals == 0 || got.CachedEvals >= got.Evals {
-			t.Fatalf("block %d: %d of %d evaluations cached", i, got.CachedEvals, got.Evals)
+		if opt.Lags >= 96 {
+			if got.SketchEvals == 0 {
+				t.Fatalf("L=%d block %d: not in sketch order", opt.Lags, i)
+			}
+		} else if got.SketchEvals != 0 || got.CachedEvals == 0 || got.CachedEvals >= got.Evals {
+			t.Fatalf("L=%d block %d: %d of %d evaluations cached, %d sketch evaluations", opt.Lags, i, got.CachedEvals, got.Evals, got.SketchEvals)
 		}
 	}
 }
@@ -548,5 +648,41 @@ func TestImpactEvalZeroAllocs(t *testing.T) {
 				t.Fatal("a dropped entry was served from the cache")
 			}
 		})
+	}
+	t.Run("sketch", func(t *testing.T) {
+		xs := diffSeries("seasonal", 2000, 9)
+		eng := newEngine(xs, Options{Lags: 150, Epsilon: 0.01})
+		defer eng.close()
+		eng.armSketch()
+		if eng.sketch == nil {
+			t.Fatal("sketch not armed at 150 lags")
+		}
+		ctx := eng.ctxs[0]
+		eng.sketchImpact(1000, ctx)
+		if n := testing.AllocsPerRun(100, func() {
+			eng.sketchImpact(1000, ctx)
+		}); n != 0 {
+			t.Fatalf("sketch evaluation allocates %v per run, want 0", n)
+		}
+	})
+}
+
+// TestSketchLags pins the sketch: the distinct floor(1.25^k) below L, then
+// L, at most a fifth of the lags from sketchMinLags up.
+func TestSketchLags(t *testing.T) {
+	for L := sketchMinLags; L <= 1000; L++ {
+		got, want := sketchLagsFor(L), refSketchLags(L)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("L=%d: sketch %v, want %v", L, got, want)
+		}
+		if 5*len(got) > L {
+			t.Fatalf("L=%d: %d sketch lags, more than a fifth", L, len(got))
+		}
+	}
+	if got := fmt.Sprint(sketchLagsFor(365)); got != "[1 2 3 4 5 7 9 11 14 18 22 28 35 44 55 69 86 108 135 169 211 264 330 365]" {
+		t.Fatalf("L=365: sketch %s", got)
+	}
+	if n := len(sketchLagsFor(96)); n != 18 {
+		t.Fatalf("L=96: %d sketch lags, want 18", n)
 	}
 }

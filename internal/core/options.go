@@ -37,6 +37,14 @@ func (s Statistic) String() string {
 // Lags must be positive and at least one of Epsilon / TargetRatio set.
 type Options struct {
 	// Lags is the number of ACF/PACF lags L to preserve (required).
+	//
+	// From 96 lags up, a plain ACF bound (Epsilon set, no TargetRatio,
+	// LagSubset or AggWindow) ranks candidates on a sketch of geometrically
+	// spaced lags (1, 2, 3, 4, 5, 7, 9, ..., L; 18 at L = 96, 24 at 365):
+	// the heap is ordered by the deviation over the sketch, which is cheap
+	// to refresh.
+	// Whether a candidate is removed is still decided on all L lags, so
+	// Epsilon and Result.Deviation mean what they mean at any L.
 	Lags int
 
 	// Epsilon bounds the deviation D(S(X), S(X')) <= Epsilon
@@ -182,13 +190,19 @@ type Result struct {
 	Iterations int
 	// Stop is why the run ended.
 	Stop Stop
-	// Evals counts impact evaluations: one per interior point for the
-	// initial heap, one per pop, one per neighbour re-evaluated after a
-	// removal — the work units StreamEngine.Advance budgets.
+	// Evals counts impact evaluations over all L lags: one per interior
+	// point for the initial heap, one per pop, one per neighbour
+	// re-evaluated after a removal. Evals + SketchEvals are the work units
+	// StreamEngine.Advance budgets.
 	Evals int
 	// CachedEvals is the part of Evals that reused the candidate's cross
 	// terms (an O(L) evaluation instead of O(L*gap)).
 	CachedEvals int
+	// SketchEvals counts evaluations over the lag sketch (see Lags). Where
+	// the sketch is engaged the initial heap, the refreshed neighbours and
+	// the pops' revalidations are sketch evaluations, and Evals counts the
+	// pops that went on to the exact check.
+	SketchEvals int
 }
 
 // CompressionRatio returns |X| / |X'| for the result.

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/datasets"
 	"repro/internal/series"
+	"repro/internal/stats"
 )
 
 // TestBoundHoldsAtEveryRadius is the guarantee the refresh radius must not
@@ -14,6 +16,8 @@ import (
 // revalidated before it is committed, so for any radius — the default, the
 // smallest, the paper's, unbounded — the deviation recomputed from scratch
 // from the retained points is within epsilon and both endpoints are kept.
+// The large-lag shapes run in sketch order, whose keys see only a sketch of
+// the lags: there the exact check at the pop is all that holds the bound.
 func TestBoundHoldsAtEveryRadius(t *testing.T) {
 	const n, eps = 768, 0.01
 	shapes := []struct {
@@ -24,6 +28,27 @@ func TestBoundHoldsAtEveryRadius(t *testing.T) {
 		{"pacf", Options{Lags: 12, Statistic: StatPACF}},
 		{"subset", Options{Lags: 24, LagSubset: []int{1, 12, 24}}},
 		{"window", Options{Lags: 6, AggWindow: 4, AggFunc: series.AggMean}},
+		{"acf-large-lags", Options{Lags: 150}},
+	}
+	check := func(name string, xs []float64, opt Options) {
+		t.Helper()
+		res, err := Compress(xs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := Deviation(xs, res.Compressed, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := res.Compressed.Points
+		n := len(xs)
+		if !(dev <= opt.Epsilon*(1+1e-9)) || pts[0].Index != 0 || pts[len(pts)-1].Index != n-1 {
+			t.Errorf("%s: recomputed deviation %g (eps %g), kept [%d..%d] of %d",
+				name, dev, opt.Epsilon, pts[0].Index, pts[len(pts)-1].Index, n)
+		}
+		if sketched := res.SketchEvals > 0; res.Stop != StopProbe && sketched != (opt.Lags >= 96) {
+			t.Errorf("%s: %d sketch evaluations at %d lags", name, res.SketchEvals, opt.Lags)
+		}
 	}
 	for i, sp := range datasets.Replicas() {
 		xs := sp.GenerateN(n, int64(i+1))
@@ -31,33 +56,88 @@ func TestBoundHoldsAtEveryRadius(t *testing.T) {
 			for _, h := range []int{0, 1, 4, 60, -1} {
 				opt := sh.opt
 				opt.Epsilon, opt.BlockHops = eps, h
-				res, err := Compress(xs, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dev, err := Deviation(xs, res.Compressed, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pts := res.Compressed.Points
-				if !(dev <= eps*(1+1e-9)) || pts[0].Index != 0 || pts[len(pts)-1].Index != n-1 {
-					t.Errorf("%s/%s/h=%d: recomputed deviation %g (eps %g), kept [%d..%d] of %d",
-						sp.Name, sh.name, h, dev, eps, pts[0].Index, pts[len(pts)-1].Index, n)
-				}
+				check(fmt.Sprintf("%s/%s/h=%d", sp.Name, sh.name, h), xs, opt)
 			}
 		}
+	}
+	// MinTemp at its paper length and lags, the shape sketch order is for.
+	mt := datasets.MinTemp()
+	xs := mt.GenerateN(mt.Length, 2)
+	for _, m := range []stats.Measure{stats.MeasureMAE, stats.MeasureRMSE, stats.MeasureChebyshev} {
+		check("MinTemp/"+m.String(), xs, Options{Lags: mt.Lags, Epsilon: eps, Measure: m})
 	}
 }
 
 // rampSeries is a straight line with noise far below any epsilon: the two
 // endpoints reconstruct it.
-func rampSeries(n int, seed int64) []float64 {
+func rampSeries(n int, seed int64) []float64 { return noisyRamp(n, seed, 1e-6) }
+
+// noisyRamp is a straight line plus Gaussian noise of standard deviation
+// amp; the noise draws depend on seed only, so amp scales one fixed shape.
+func noisyRamp(n int, seed int64, amp float64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = 3 + 0.01*float64(i) + 1e-6*rng.NormFloat64()
+		xs[i] = 3 + 0.01*float64(i) + amp*rng.NormFloat64()
 	}
 	return xs
+}
+
+// TestProbeRefusesJustOverEpsilon is the probe's boundary: a ramp whose
+// noise is scaled until the two-point reconstruction's deviation lies in
+// (eps, 1.02 eps]. The probe must not take that block, and the heap loop's
+// answer must honour eps. A probe that admits up to 1.02 eps fails here.
+func TestProbeRefusesJustOverEpsilon(t *testing.T) {
+	const n, eps = 500, 0.01
+	opt := Options{Lags: 12, Epsilon: eps}
+	twoPoint := func(xs []float64) float64 {
+		ends := &series.Irregular{N: n, Points: []series.Point{{Index: 0, Value: xs[0]}, {Index: n - 1, Value: xs[n-1]}}}
+		dev, err := Deviation(xs, ends, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	// Bisect the amplitude geometrically between a ramp the probe takes and
+	// one far over the bound.
+	lo, hi := 1e-6, 10.0
+	if d := twoPoint(noisyRamp(n, 1, lo)); !(d <= eps) {
+		t.Fatalf("amplitude %g: two-point deviation %g already over eps", lo, d)
+	}
+	if d := twoPoint(noisyRamp(n, 1, hi)); !(d > 1.02*eps) {
+		t.Fatalf("amplitude %g: two-point deviation %g not over 1.02 eps", hi, d)
+	}
+	var xs []float64
+	for i := 0; ; i++ {
+		if i == 200 {
+			t.Fatalf("no amplitude in [%g, %g] puts the two-point deviation in (eps, 1.02 eps]", lo, hi)
+		}
+		amp := math.Sqrt(lo * hi)
+		xs = noisyRamp(n, 1, amp)
+		d := twoPoint(xs)
+		if d > eps && d <= 1.02*eps {
+			break
+		}
+		if d <= eps {
+			lo = amp
+		} else {
+			hi = amp
+		}
+	}
+	res, err := Compress(xs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop == StopProbe {
+		t.Fatalf("probe took a block whose two-point deviation %g exceeds eps %g", twoPoint(xs), eps)
+	}
+	dev, err := Deviation(xs, res.Compressed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(dev <= eps) {
+		t.Fatalf("recomputed deviation %g exceeds eps %g", dev, eps)
+	}
 }
 
 // TestProbeFires pins when the two-point probe takes a run and what it
@@ -199,7 +279,7 @@ func TestEntryPointsAgreeOnProbedBlocks(t *testing.T) {
 			}
 		}
 		// The builder's n samples, the probe's n, then the evaluations.
-		if units != 2*len(xs)+want.Evals {
+		if units != 2*len(xs)+want.Evals+want.SketchEvals {
 			t.Fatalf("block %d: %d work units for %d samples and %d evaluations", i, units, len(xs), want.Evals)
 		}
 	}

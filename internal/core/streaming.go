@@ -19,8 +19,8 @@ import (
 // ACF-deviation budget hold not just approximately but exactly, and the
 // encoded block is byte-identical to the batch encoder's.
 //
-// One work unit is one impact evaluation (or one sample fed to the
-// incremental aggregate builder / initial-impact pass / two-point probe),
+// One work unit is one impact or sketch evaluation (or one sample fed to the
+// incremental aggregate builder / two-point probe),
 // the dominant cost of the algorithm; callers pace ingest by granting unit
 // budgets sized to their latency target.
 //
@@ -138,6 +138,7 @@ func (s *StreamEngine) Advance(budget int) (used int, done bool) {
 					s.phase = streamDone
 					return used, true
 				}
+				e.armSketch() // its O(n*sketch) build rides on the probe's units
 			}
 		case streamImpacts:
 			k := min(budget-used, len(e.points)-s.built)

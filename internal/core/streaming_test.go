@@ -191,13 +191,16 @@ func TestStreamEngineMisuse(t *testing.T) {
 }
 
 // FuzzStreamVsBatch drives the differential with fuzzer-chosen values,
-// epsilon, and advance quantum. Non-finite inputs must be rejected by both
-// paths; finite ones must produce bit-identical results.
+// epsilon, advance quantum and lag count (16, or 150 for sketch order).
+// Non-finite inputs must be rejected by both paths; finite ones must produce
+// bit-identical results.
 func FuzzStreamVsBatch(f *testing.F) {
-	f.Add(uint64(1), 0.05, 3, 64)
-	f.Add(uint64(42), 0.5, 1, 200)
-	f.Add(uint64(7), 0.001, 1000, 33)
-	f.Fuzz(func(t *testing.T, seed uint64, eps float64, quantum, n int) {
+	f.Add(uint64(1), 0.05, 3, 64, false)
+	f.Add(uint64(42), 0.5, 1, 200, false)
+	f.Add(uint64(7), 0.001, 1000, 33, false)
+	f.Add(uint64(3), 0.05, 7, 512, true)
+	f.Add(uint64(11), 0.01, 1, 450, true)
+	f.Fuzz(func(t *testing.T, seed uint64, eps float64, quantum, n int, largeLags bool) {
 		if n < 0 || n > 512 {
 			n = 512
 		}
@@ -220,6 +223,9 @@ func FuzzStreamVsBatch(f *testing.F) {
 			}
 		}
 		opt := Options{Lags: 16, Epsilon: eps}
+		if largeLags {
+			opt.Lags = 150
+		}
 		want, batchErr := Compress(xs, opt)
 		se, err := NewStreamEngine(opt)
 		if err != nil {
@@ -240,6 +246,10 @@ func FuzzStreamVsBatch(f *testing.F) {
 				break
 			}
 		}
-		sameResult(t, "fuzz", se.Result(), want)
+		got := se.Result()
+		sameResult(t, "fuzz", got, want)
+		if got.Evals != want.Evals || got.SketchEvals != want.SketchEvals {
+			t.Fatalf("stream ran %d+%d evaluations, batch %d+%d", got.Evals, got.SketchEvals, want.Evals, want.SketchEvals)
+		}
 	})
 }

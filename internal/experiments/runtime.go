@@ -148,7 +148,7 @@ func Table3(cfg Config) error {
 	for _, r := range sweep {
 		if res := r.Result; res != nil {
 			row(tw, r.Dataset, r.N, r.Stop, r.Hops, r.Seconds, len(res.Compressed.Points), res.Deviation,
-				float64(res.Evals)/float64(r.N), float64(res.Iterations)/float64(max(res.Removed, 1)))
+				float64(res.Evals+res.SketchEvals)/float64(r.N), float64(res.Iterations)/float64(max(res.Removed, 1)))
 		}
 	}
 	return tw.Flush()

@@ -94,6 +94,18 @@ func TestStatuszMatchesMetrics(t *testing.T) {
 			t.Fatalf("statusz and /metrics disagree on cameo_core_blocks_total{%s}:\n%s", labels, expo)
 		}
 	}
+	// Evaluations by path, the sketch one included (zero here: the store's
+	// 24 lags are below sketch order's threshold).
+	for _, path := range []string{"full", "cached", "sketch"} {
+		labels := fmt.Sprintf("path=%q", path)
+		n := snap.labeled(t, "cameo_core_evals_total", labels)
+		if want := fmt.Sprintf("cameo_core_evals_total{%s} %v\n", labels, n); !strings.Contains(expo, want) {
+			t.Fatalf("statusz and /metrics disagree on cameo_core_evals_total{%s}:\n%s", labels, expo)
+		}
+		if (path == "sketch") != (n == 0) {
+			t.Fatalf("statusz counts %v evaluations on path %s", n, path)
+		}
+	}
 	if pops := snap.num(t, "cameo_core_pops_total"); pops == 0 || !strings.Contains(expo, fmt.Sprintf("cameo_core_pops_total %v\n", pops)) {
 		t.Fatalf("statusz counts %v pops, exposition:\n%s", pops, expo)
 	}

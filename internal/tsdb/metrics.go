@@ -46,10 +46,11 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 		e.Counter("cameo_store_series_deleted_total", "Series removed by DeleteSeries.", s.SeriesDeleted)
 
 		if c, ok := db.opt.Codec.(*codec.CAMEO); ok {
-			const help = "CAMEO impact evaluations behind the blocks written, by whether the candidate's cross terms were computed (full) or reused (cached)."
-			full, cached := c.EvalTotals()
+			const help = "CAMEO evaluations behind the blocks written: impact evaluations whose cross terms were computed (full) or reused (cached), and keys over the lag sketch of large-lag shapes (sketch)."
+			full, cached, sketch := c.EvalTotals()
 			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "full"), full)
 			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "cached"), cached)
+			e.CounterL("cameo_core_evals_total", help, metrics.Labels("path", "sketch"), sketch)
 			const blocksHelp = "CAMEO blocks written, by why the run ended: every interior point removed (done), the deviation bound (bound), the target ratio (ratio), or the two endpoints alone within the bound (probe)."
 			pops, blocks := c.RunTotals()
 			for stop := core.StopDone; stop <= core.StopProbe; stop++ {

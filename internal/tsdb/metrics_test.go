@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -127,19 +128,22 @@ func TestRegisterMetricsCoversStats(t *testing.T) {
 }
 
 // TestCoreEvalsMetric pins the cameo_core_* families: a CAMEO store exports
-// the impact evaluations behind its blocks split by path, the blocks by why
-// their run ended and the heap pops; the streaming write mode (which slices
-// the batch algorithm's exact work) counts the same totals as the batch one,
-// and a store under another codec has no such families to export.
+// the evaluations behind its blocks split by path, the blocks by why their
+// run ended and the heap pops; the streaming write mode (which slices the
+// batch algorithm's exact work) counts the same totals as the batch one,
+// and a store under another codec has no such families to export. At 24
+// lags no block runs in sketch order; at 120 every one does, and the three
+// paths add up to the work units core.Compress reports for the blocks.
 func TestCoreEvalsMetric(t *testing.T) {
-	scrape := func(opt Options) string {
+	const blocks = 3
+	scrape := func(opt Options, xs []float64) string {
 		t.Helper()
 		db, err := Open(t.TempDir(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		if err := db.Append("cpu", sensorData(3*opt.BlockSize+10, 2)...); err != nil {
+		if err := db.Append("cpu", xs...); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Sync(); err != nil {
@@ -159,34 +163,62 @@ func TestCoreEvalsMetric(t *testing.T) {
 		}
 		return strings.Join(lines, "\n")
 	}
-	batch := scrape(dbOptions())
-	var full, cached, done, bound, ratio, probe, pops uint64
-	if _, err := fmt.Sscanf(batch, `cameo_core_evals_total{path="full"} %d
+	type counts struct{ full, cached, sketch, done, bound, ratio, probe, pops uint64 }
+	parse := func(expo string) counts {
+		t.Helper()
+		var c counts
+		if _, err := fmt.Sscanf(expo, `cameo_core_evals_total{path="full"} %d
 cameo_core_evals_total{path="cached"} %d
+cameo_core_evals_total{path="sketch"} %d
 cameo_core_blocks_total{stop="done"} %d
 cameo_core_blocks_total{stop="bound"} %d
 cameo_core_blocks_total{stop="ratio"} %d
 cameo_core_blocks_total{stop="probe"} %d
-cameo_core_pops_total %d`, &full, &cached, &done, &bound, &ratio, &probe, &pops); err != nil {
-		t.Fatalf("unexpected exposition %q: %v", batch, err)
+cameo_core_pops_total %d`, &c.full, &c.cached, &c.sketch, &c.done, &c.bound, &c.ratio, &c.probe, &c.pops); err != nil {
+			t.Fatalf("unexpected exposition %q: %v", expo, err)
+		}
+		return c
 	}
-	// Three 512-sample blocks: at least the 510 initial impacts each in
-	// full, and the heap loop's far neighbours from the cache.
-	if full < 3*510 || cached == 0 {
-		t.Fatalf("full=%d cached=%d after three blocks", full, cached)
-	}
-	// Noisy sensor data stops at the bound, after at least one pop a block.
-	if bound != 3 || done+ratio+probe != 0 || pops < 3 {
-		t.Fatalf("blocks done/bound/ratio/probe = %d/%d/%d/%d, pops = %d after three blocks", done, bound, ratio, probe, pops)
-	}
-	streaming := dbOptions()
-	streaming.Streaming = true
-	if got := scrape(streaming); got != batch {
-		t.Fatalf("streaming store counted\n%s\nbatch store\n%s", got, batch)
+	for _, lags := range []int{24, 120} {
+		opt := dbOptions()
+		opt.Compression.Lags = lags
+		xs := sensorData(blocks*opt.BlockSize+10, 2)
+		batch := scrape(opt, xs)
+		c := parse(batch)
+		// Noisy sensor data stops at the bound, after at least one pop a block.
+		if c.bound != blocks || c.done+c.ratio+c.probe != 0 || c.pops < blocks {
+			t.Fatalf("L=%d: blocks done/bound/ratio/probe = %d/%d/%d/%d, pops = %d after three blocks", lags, c.done, c.bound, c.ratio, c.probe, c.pops)
+		}
+		if lags < 96 {
+			// At least the 510 initial impacts a block in full, and the heap
+			// loop's far neighbours from the cache.
+			if c.full < blocks*510 || c.cached == 0 || c.sketch != 0 {
+				t.Fatalf("L=%d: full=%d cached=%d sketch=%d after three blocks", lags, c.full, c.cached, c.sketch)
+			}
+		} else {
+			// The initial impacts and refreshes are sketch keys; the full
+			// evaluations are the pops' exact checks.
+			var units uint64
+			for b := 0; b < blocks; b++ {
+				res, err := core.Compress(xs[b*opt.BlockSize:(b+1)*opt.BlockSize], opt.Compression)
+				if err != nil {
+					t.Fatal(err)
+				}
+				units += uint64(res.Evals + res.SketchEvals)
+			}
+			if c.sketch < blocks*510 || c.full == 0 || c.full+c.cached+c.sketch != units {
+				t.Fatalf("L=%d: full=%d cached=%d sketch=%d after three blocks, core.Compress charged %d units", lags, c.full, c.cached, c.sketch, units)
+			}
+		}
+		streaming := opt
+		streaming.Streaming = true
+		if got := scrape(streaming, xs); got != batch {
+			t.Fatalf("L=%d: streaming store counted\n%s\nbatch store\n%s", lags, got, batch)
+		}
 	}
 	lossless := dbOptions()
 	lossless.Codec = codec.Gorilla{}
-	if got := scrape(lossless); got != "" {
+	if got := scrape(lossless, sensorData(blocks*lossless.BlockSize+10, 2)); got != "" {
 		t.Fatalf("gorilla store exports %q", got)
 	}
 }
